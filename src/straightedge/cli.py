@@ -5,12 +5,13 @@ Subcommands:
   construct <n> [--svg PATH] [--json PATH]   build a polygon and its trace
   table                                      print the classical trig tables
   trig <degrees>                             exact sin/cos/tan of a grid angle
+                                             3*m/2^k with k <= 5
   constructible <n>                          Gauss-Wantzel verdict for n
   icosahedron [--obj PATH] [--digits D]      the golden-rectangle icosahedron
   verify                                     run the exact invariant suite
 
 Exit status: 0 on success, 1 on domain errors (unsupported n, off-grid
-angle), 2 on usage errors.
+angle, dyadic depth beyond 5), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from .construct import construct_polygon, trace_to_json
 from .constructibility import gauss_constructible
-from .exactnum import approx
+from .exactnum import approx, sqrt
 from .geom import dist_sq
 from .icosahedron import build_icosahedron, export_mesh, verify_icosahedron
 from .selfcheck import run_all_checks
@@ -29,6 +30,11 @@ from .svg import RenderConfig, render_svg
 from .trig import Angle, sin_cos, tan
 
 __all__ = ["main"]
+
+# Deepest dyadic subdivision 3*m/2^k that `trig` computes.  Each halving
+# adjoins a radicand and about doubles the cost; the limit keeps every
+# admitted angle to a few seconds.
+MAX_TRIG_DEPTH = 5
 
 
 def _cmd_construct(args) -> int:
@@ -42,8 +48,6 @@ def _cmd_construct(args) -> int:
         with open(args.svg, "w") as fh:
             fh.write(render_svg(trace, cfg, polygon=polygon))
     side = dist_sq(polygon.vertices[0], polygon.vertices[1])
-    from .exactnum import sqrt
-
     length = sqrt(side)
     print(f"regular {polygon.n}-gon on the unit circle ({len(trace.steps)} steps)")
     print(f"side length: {length} = {approx(length, 6)}")
@@ -84,6 +88,12 @@ def _cmd_trig(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot read {args.degrees!r} as a rational number of degrees")
     angle = Angle(degrees)
+    depth = (degrees / 3).denominator.bit_length() - 1
+    if depth > MAX_TRIG_DEPTH:
+        raise ValueError(
+            f"{degrees} degrees is 3*m/2^{depth}; trig supports dyadic depth "
+            f"k <= {MAX_TRIG_DEPTH}"
+        )
     s, c = sin_cos(angle)
     print(f"sin {degrees}° = {s} = {approx(s, 6)}")
     print(f"cos {degrees}° = {c} = {approx(c, 6)}")
@@ -142,7 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="print the classical trig tables")
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("trig", help="exact trig of a 3*m/2^k degree angle")
+    p = sub.add_parser(
+        "trig", help=f"exact trig of a 3*m/2^k degree angle, k <= {MAX_TRIG_DEPTH}"
+    )
     p.add_argument("degrees")
     p.set_defaults(func=_cmd_trig)
 

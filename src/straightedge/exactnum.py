@@ -267,137 +267,56 @@ def _radicand_order(x: Constructible) -> tuple:
     return (_depth(x), _render(x))
 
 
-def _collect_radicands(x: Constructible, acc: dict) -> None:
-    if x.r is not None:
-        _collect_radicands(x.a, acc)
-        _collect_radicands(x.b, acc)
-        key = _render(x.r)
-        if key not in acc:
-            acc[key] = x.r
-            _collect_radicands(x.r, acc)
-
-
-# -- dense tower arithmetic ---------------------------------------------------
+# -- tower arithmetic ---------------------------------------------------------
 #
-# For a binary operation the two operands are lifted into one common tower:
-# the sorted union of every radicand appearing in either value.  Over a chain
-# (r_1, ..., r_k) a dense value is a nested pair tree with Fraction leaves;
-# level i splits into (lo, hi) meaning lo + hi*sqrt(r_i).  Sorting radicands
-# by (depth, rendering) guarantees each radicand only ever depends on earlier
-# entries of the chain.
-
-_ZEROS_CACHE: list = [Fraction(0)]
-
-
-def _zeros(k: int):
-    while len(_ZEROS_CACHE) <= k:
-        prev = _ZEROS_CACHE[-1]
-        _ZEROS_CACHE.append((prev, prev))
-    return _ZEROS_CACHE[k]
+# A binary op splits both operands at the higher of their top radicands r
+# (in _radicand_order): x = a + b*sqrt(r), with b = ZERO when x does not
+# reach r.  It recurses on the parts through the ordinary operators and
+# rejoins them as lo + hi*sqrt(r), or as lo alone when sign(hi) == 0.  A
+# node's coefficients and radicand all sort before its own radicand, so the
+# parts live in strictly shallower towers and the recursion ends at
+# rationals.
 
 
-def _const_dense(q: Fraction, k: int):
-    t = q
-    for i in range(k):
-        t = (t, _zeros(i))
-    return t
+def _split(x: Constructible, r: Constructible) -> tuple:
+    if x.r is not None and _render(x.r) == _render(r):
+        return x.a, x.b
+    return x, ZERO
 
 
-def _to_dense(x: Constructible, chain: tuple) -> object:
-    if x.r is None:
-        return _const_dense(x.a, len(chain))
-    key = _render(x.r)
-    i = next(j for j in range(len(chain)) if _render(chain[j]) == key)
-    t = (_to_dense(x.a, chain[:i]), _to_dense(x.b, chain[:i]))
-    for j in range(i + 1, len(chain)):
-        t = (t, _zeros(j))
-    return t
-
-
-def _dadd(u, v, k):
-    if k == 0:
-        return u + v
-    return (_dadd(u[0], v[0], k - 1), _dadd(u[1], v[1], k - 1))
-
-
-def _dsub(u, v, k):
-    if k == 0:
-        return u - v
-    return (_dsub(u[0], v[0], k - 1), _dsub(u[1], v[1], k - 1))
-
-
-def _dneg(u, k):
-    if k == 0:
-        return -u
-    return (_dneg(u[0], k - 1), _dneg(u[1], k - 1))
-
-
-def _dmul(u, v, emb, k):
-    if k == 0:
-        return u * v
-    a1, b1 = u
-    a2, b2 = v
-    cross = _dmul(b1, b2, emb, k - 1)
-    lo = _dadd(_dmul(a1, a2, emb, k - 1), _dmul(cross, emb[k - 1], emb, k - 1), k - 1)
-    hi = _dadd(_dmul(a1, b2, emb, k - 1), _dmul(b1, a2, emb, k - 1), k - 1)
-    return (lo, hi)
-
-
-def _dinv(u, chain, emb, k):
-    if k == 0:
-        return 1 / u
-    c, d = u
-    den = _dsub(
-        _dmul(c, c, emb, k - 1),
-        _dmul(_dmul(d, d, emb, k - 1), emb[k - 1], emb, k - 1),
-        k - 1,
-    )
-    if sign(_normalize(den, chain[: k - 1])) == 0:
-        # Degenerate chain: c - d*sqrt(r) = 0, so the value equals 2c.
-        half = _dscale(_dinv(c, chain, emb, k - 1), Fraction(1, 2), k - 1)
-        return (half, _zeros(k - 1))
-    inv_den = _dinv(den, chain, emb, k - 1)
-    return (_dmul(c, inv_den, emb, k - 1), _dneg(_dmul(d, inv_den, emb, k - 1), k - 1))
-
-
-def _dscale(u, f: Fraction, k):
-    if k == 0:
-        return u * f
-    return (_dscale(u[0], f, k - 1), _dscale(u[1], f, k - 1))
-
-
-def _normalize(u, chain: tuple) -> Constructible:
-    if not chain:
-        return _rational(u)
-    lo = _normalize(u[0], chain[:-1])
-    hi = _normalize(u[1], chain[:-1])
+def _join(lo: Constructible, hi: Constructible, r: Constructible) -> Constructible:
     if sign(hi) == 0:
         return lo
-    return Constructible(lo, hi, chain[-1])
-
-
-def _merged_chain(x: Constructible, y: Constructible) -> tuple:
-    acc: dict = {}
-    _collect_radicands(x, acc)
-    _collect_radicands(y, acc)
-    return tuple(sorted(acc.values(), key=_radicand_order))
+    return Constructible(lo, hi, r)
 
 
 def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
-    chain = _merged_chain(x, y)
-    emb = tuple(_to_dense(chain[i], chain[:i]) for i in range(len(chain)))
-    k = len(chain)
-    u = _to_dense(x, chain)
-    v = _to_dense(y, chain)
+    # A rational zero reaches here only as an add/sub operand or a dividend.
+    if y.r is None and y.a == 0:
+        return x
+    if x.r is None and x.a == 0:
+        return -y if op == "sub" else y if op == "add" else ZERO
+    r = max((t for t in (x.r, y.r) if t is not None), key=_radicand_order)
+    a1, b1 = _split(x, r)
+    a2, b2 = _split(y, r)
     if op == "add":
-        w = _dadd(u, v, k)
-    elif op == "sub":
-        w = _dsub(u, v, k)
-    elif op == "mul":
-        w = _dmul(u, v, emb, k)
-    else:  # div; caller already rejected a zero divisor
-        w = _dmul(u, _dinv(v, chain, emb, k), emb, k)
-    return _normalize(w, chain)
+        return _join(a1 + a2, b1 + b2, r)
+    if op == "sub":
+        return _join(a1 - a2, b1 - b2, r)
+    if op == "mul":
+        if b1 is ZERO or b2 is ZERO:  # one side lacks sqrt(r): two products
+            return _join(a1 * a2, a1 * b2 + b1 * a2, r)
+        lo = a1 * a2
+        cross = b1 * b2
+        return _join(lo + r * cross, (a1 + b1) * (a2 + b2) - lo - cross, r)
+    # div; the caller already rejected a zero divisor
+    if b2 is ZERO:
+        return _join(a1 / y, b1 / y, r)
+    den = a2 * a2 - b2 * b2 * r
+    if sign(den) == 0:
+        # Degenerate chain: a2 - b2*sqrt(r) = 0, so the divisor equals 2*a2.
+        return _join(a1 / (2 * a2), b1 / (2 * a2), r)
+    return _join((a1 * a2 - r * (b1 * b2)) / den, (b1 * a2 - a1 * b2) / den, r)
 
 
 def _scaled(x: Constructible, f: Fraction) -> Constructible:

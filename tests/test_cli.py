@@ -67,6 +67,15 @@ class TestDispatch:
     def test_trig_half_grid(self, capsys):
         assert main(["trig", "22.5"]) == 0
 
+    def test_trig_deepest_admitted(self, capsys):
+        assert main(["trig", "3/32"]) == 0
+        assert "tan 3/32°" in capsys.readouterr().out
+
+    def test_trig_too_deep(self, capsys):
+        # 3/2^16 degrees would take minutes; it is refused up front.
+        assert main(["trig", "3/65536"]) == 1
+        assert "k <= 5" in capsys.readouterr().err
+
     def test_trig_off_grid(self, capsys):
         assert main(["trig", "1"]) == 1
         assert "3*m/2^k" in capsys.readouterr().err

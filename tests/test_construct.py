@@ -168,6 +168,14 @@ class TestDoublePolygon:
         c20, _ = construct_polygon(20)
         assert vertex_set_equal(p20.vertices, c20.vertices)
 
+    def test_pentagon_doubled_three_times(self):
+        # the longest radicand chain of any doubling here; it must finish in seconds
+        p = construct_polygon(5)[0]
+        for _ in range(3):
+            p = double_polygon(p)
+        p40 = double_polygon(construct_polygon(20)[0])
+        assert p.vertices == p40.vertices
+
     def test_doubled_is_interleaved(self):
         p4, _ = construct_polygon(4)
         p8 = double_polygon(p4)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,10 @@ from straightedge.exactnum import (
     sign,
     sqrt,
 )
+from straightedge.trig import sin_cos
 
 C = Constructible.of
+RENDERINGS = Path(__file__).parent / "golden" / "renderings.txt"
 
 
 class TestRationalArithmetic:
@@ -220,3 +223,36 @@ class TestSignOracle:
             approximate = eval_tree_mpf(tree)
             assert sign(exact) == oracle_sign(approximate), tree
             checked += 1
+
+
+def rendering_battery() -> list[Constructible]:
+    """Values whose canonical renderings are frozen in golden/renderings.txt.
+
+    The file was written by the earlier arithmetic, which lifted both
+    operands of every binary op into a dense 2^k nested-pair tower.  It is
+    the differential check of the sparse tower recursion against that path,
+    so it must never be regenerated from the current code.
+    """
+    s2, s3, s5, s6 = sqrt(2), sqrt(3), sqrt(5), sqrt(6)
+    wide = sqrt(10 + 2 * s5)
+    narrow = sqrt(10 - 2 * s5)
+    values = sample_values(1000, seed=7)
+    values += [
+        s2 * s3 + s6,
+        (s2 * s3 + s6) / (s6 + s2 * s3),
+        wide * narrow,
+        (1 + wide) / (wide * narrow - 4 * s5 + 1),
+        (s2 + s3 * s5) / (wide * narrow - 4 * s5 + s2 * s3),
+    ]
+    for m in range(1, 61):  # every grid angle 3*m/2^k with k <= 1
+        values += sin_cos(Fraction(3 * m, 2))
+    return values
+
+
+class TestOldPathDifferential:
+    def test_renderings_match_dense_path(self):
+        want = RENDERINGS.read_text().splitlines()
+        got = [str(x) for x in rendering_battery()]
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
