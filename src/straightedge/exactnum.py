@@ -7,9 +7,10 @@ recursive quadratic extensions: a number is either a plain rational or
 ``a + b*sqrt(r)`` where ``a``, ``b`` and the radicand ``r`` are themselves
 constructible numbers from strictly shallower extensions.
 
-Everything here is decided symbolically: `sign` (and hence equality and
-ordering) recurses on the tree, and `approx` produces correctly rounded
-decimals by exact interval refinement.  No floating point is used anywhere.
+`sign` (and hence equality and ordering) tries a 64-bit integer enclosure
+before recursing on the tree, and only that exact recursion decides a zero;
+`approx` rounds correctly from the same enclosures, refined until they
+decide.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -334,9 +335,10 @@ def _scaled(x: Constructible, f: Fraction) -> Constructible:
 def sign(x) -> int:
     """Exact sign of ``x``: -1, 0 or +1, decided without floating point.
 
-    For ``a + b*sqrt(r)`` with disagreeing coefficient signs the comparison
-    ``a^2`` versus ``b^2*r`` is recursed, which strictly shrinks the set of
-    radicands involved, so the recursion always terminates.
+    For ``a + b*sqrt(r)`` with disagreeing coefficient signs a 64-bit
+    enclosure is tried, then ``a^2`` versus ``b^2*r`` is recursed, which
+    strictly shrinks the set of radicands involved, so the recursion always
+    terminates.  Only the recursion decides a zero.
     """
     x = Constructible.of(x)
     if x._sign is None:
@@ -353,7 +355,8 @@ def sign(x) -> int:
             elif sa == sb:
                 x._sign = sa
             else:
-                x._sign = sa * sign(x.a * x.a - x.b * x.b * x.r)
+                lo, hi = _enclose(x, 64)
+                x._sign = (lo > 0) - (hi < 0) or sa * sign(x.a * x.a - x.b * x.b * x.r)
     return x._sign
 
 
@@ -361,13 +364,17 @@ def sign(x) -> int:
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Write n = inner * outer**2 with inner squarefree; return (inner, outer)."""
+    """Write n = inner * outer**2; return (inner, outer).
+
+    Trial division stops below 2**20, so inner is squarefree whenever the
+    residual is below 2**60 (it is then 1, p, p*q or p*p, tested last).
+    """
     s = isqrt(n)
     if s * s == n:
         return 1, s
     inner, outer = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < 1 << 20:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -377,7 +384,8 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 inner *= d
         d = 3 if d == 2 else d + 2
-    return inner * n, outer
+    s = isqrt(n)
+    return (inner, outer * s) if s * s == n else (inner * n, outer)
 
 
 def _fraction_sqrt(f: Fraction):
@@ -493,66 +501,52 @@ def sqrt(x) -> Constructible:
 # -- decimal approximation ----------------------------------------------------
 
 
-def _isqrt_bounds(lo: Fraction, hi: Fraction, k: int) -> tuple[Fraction, Fraction]:
-    sc = 1 << k
-    if lo < 0:
-        lo = Fraction(0)
-    ls = Fraction(isqrt((lo.numerator * sc * sc) // lo.denominator), sc)
-    hs = Fraction(isqrt((hi.numerator * sc * sc) // hi.denominator) + 1, sc)
-    return ls, hs
-
-
-def _interval(x: Constructible, k: int) -> tuple[Fraction, Fraction]:
+def _enclose(x: Constructible, k: int) -> tuple[int, int]:
+    """Integers ``lo <= x*2**k <= hi``, every node bounded at the same k
+    and rounded outward by floor and ceiling division, shifts and isqrt."""
     if x.r is None:
-        return x.a, x.a
-    la, ha = _interval(x.a, k)
-    lb, hb = _interval(x.b, k)
-    lr, hr = _interval(x.r, k)
-    ls, hs = _isqrt_bounds(lr, hr, k)
+        num, den = x.a.numerator << k, x.a.denominator
+        lo = num // den
+        return lo, lo + (lo * den != num)
+    la, ha = _enclose(x.a, k)
+    lb, hb = _enclose(x.b, k)
+    lr, hr = _enclose(x.r, k)
+    ls = isqrt(max(lr, 0) << k)
+    hr <<= k
+    hs = isqrt(hr)
+    hs += hs * hs < hr
     products = (lb * ls, lb * hs, hb * ls, hb * hs)
-    return la + min(products), ha + max(products)
+    return la + (min(products) >> k), ha - (-max(products) >> k)
 
 
 def _floor(x: Constructible) -> int:
+    """floor(x) from enclosures at doubling k.  One narrower than 2**-(k//2)
+    that still straddles an integer n is settled by exact sign(x - n)."""
     if x.r is None:
         return x.a.numerator // x.a.denominator
     k = 32
-    flo = fhi = None
-    while k <= 4096:
-        lo, hi = _interval(x, k)
-        flo = lo.numerator // lo.denominator
-        fhi = hi.numerator // hi.denominator
-        if flo == fhi:
-            return flo
+    while True:
+        lo, hi = _enclose(x, k)
+        n = hi >> k
+        if lo >> k == n:
+            return n
+        if hi - lo < 1 << (k // 2):
+            return n - (sign(x - n) < 0)
         k *= 2
-    # The value sits on (or extremely near) an integer: settle it exactly.
-    if sign(x - fhi) >= 0:
-        return fhi
-    return fhi - 1
-
-
-def _round_half_away(x: Constructible) -> int:
-    n = _floor(x)
-    frac = x - n
-    c = sign(frac - Fraction(1, 2))
-    if c > 0:
-        return n + 1
-    if c < 0:
-        return n
-    return n + 1 if sign(x) > 0 else n
 
 
 def approx(x, digits: int) -> str:
     """Correctly rounded decimal string of ``x`` with ``digits`` places.
 
     The absolute error is below 10**-digits; exact ties round away from
-    zero.  Rounding is driven by exact interval refinement, so the output
-    depends only on the value, never on its representation.
+    zero.  Digits come from ``floor(2*|x|*10**digits)``, decided by integer
+    enclosures, so they depend only on the value, never on its representation.
     """
     x = Constructible.of(x)
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    n = _round_half_away(_scaled(x, Fraction(10**digits)))
+    s = sign(x)
+    n = s * ((_floor(_scaled(x, Fraction(2 * s * 10**digits))) + 1) // 2)
     body = str(abs(n)).rjust(digits + 1, "0")
     sign_str = "-" if n < 0 else ""
     return f"{sign_str}{body[:-digits]}.{body[-digits:]}"

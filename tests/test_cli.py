@@ -3,6 +3,7 @@ import re
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from straightedge.cli import main
 from straightedge.construct import construct_polygon
@@ -91,6 +92,13 @@ class TestDispatch:
         lines = obj.read_text().splitlines()
         assert len(lines) == 32
         assert "all pass" in capsys.readouterr().out
+
+    def test_icosahedron_long_digits(self, capsys):
+        assert main(["icosahedron", "--digits", "1300"]) == 0
+        _, x, y, z = capsys.readouterr().out.splitlines()[0].split()
+        with mp.workdps(1350):
+            phi = mp.nstr((1 + mp.sqrt(5)) / 2, 1301, strip_zeros=False)
+        assert (x, y, z) == ("1." + "0" * 1300, phi, "0." + "0" * 1300)
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from straightedge.exactnum import (
     Constructible,
     ONE,
     ZERO,
+    _enclose,
     approx,
     parse,
     sign,
@@ -21,6 +23,7 @@ from straightedge.trig import sin_cos
 
 C = Constructible.of
 RENDERINGS = Path(__file__).parent / "golden" / "renderings.txt"
+APPROX = Path(__file__).parent / "golden" / "approx.txt"
 
 
 class TestRationalArithmetic:
@@ -82,6 +85,13 @@ class TestRadicals:
         assert str(sqrt(8)) == str(2 * sqrt(2))
         assert str(sqrt(Fraction(5, 16))) == str(sqrt(5) / 4)
 
+    def test_large_semiprime_radicand_is_fast(self):
+        n = (2**31 - 1) * (2**61 - 1)
+        start = time.perf_counter()
+        root = sqrt(Fraction(n))
+        assert time.perf_counter() - start < 2
+        assert sign(root * root - n) == 0
+
     def test_in_tower_square_detected(self):
         g = (sqrt(5) - 1) / 2
         assert str(sqrt(g * g)) == str(g)
@@ -140,12 +150,29 @@ class TestApprox:
         # a disguised rational still rounds like the rational
         masked = sqrt(6) - sqrt(2) * sqrt(3) + Fraction(1, 8)
         assert approx(masked, 2) == approx(C(Fraction(1, 8)), 2)
+        assert approx(-masked, 2) == approx(C(Fraction(-1, 8)), 2)
 
     def test_long_precision_against_oracle(self):
         mp.dps = 80
         value = sqrt(10 + 2 * sqrt(5)) / 4
         want = mp.nstr(mpf_of(value), 40, strip_zeros=False)
         assert approx(value, 30).startswith(want[:25])
+
+    @pytest.mark.parametrize("digits", [1300, 2000])
+    def test_beyond_4096_bits_against_oracle(self, digits):
+        with mp.workdps(digits + 50):
+            want = mp.nstr(mp.sqrt(2), digits + 1, strip_zeros=False)
+        assert approx(sqrt(2), digits) == want
+
+
+class TestEnclose:
+    @pytest.mark.parametrize("k", [32, 64, 256])
+    def test_encloses_200_digit_oracle(self, k):
+        with mp.workdps(200):
+            for x in sample_values(200):
+                lo, hi = _enclose(x, k)
+                scaled = mpf_of(x) * mp.mpf(2) ** k
+                assert lo <= scaled <= hi, str(x)
 
 
 class TestRendering:
@@ -231,7 +258,8 @@ def rendering_battery() -> list[Constructible]:
     The file was written by the earlier arithmetic, which lifted both
     operands of every binary op into a dense 2^k nested-pair tower.  It is
     the differential check of the sparse tower recursion against that path,
-    so it must never be regenerated from the current code.
+    so it must never be regenerated from the current code.  The same values
+    feed golden/approx.txt.
     """
     s2, s3, s5, s6 = sqrt(2), sqrt(3), sqrt(5), sqrt(6)
     wide = sqrt(10 + 2 * s5)
@@ -253,6 +281,28 @@ class TestOldPathDifferential:
     def test_renderings_match_dense_path(self):
         want = RENDERINGS.read_text().splitlines()
         got = [str(x) for x in rendering_battery()]
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
+
+
+def approx_battery() -> list[str]:
+    """Decimals frozen in golden/approx.txt.
+
+    The file was written by the earlier read-out, which refined Fraction
+    intervals capped at 4096 bits and rounded through an exact sign of
+    ``frac - 1/2``.  It is the differential check of the integer enclosures
+    against that path, so it must never be regenerated from the current code.
+    """
+    lines = [" ".join(approx(x, d) for d in (1, 6, 30)) for x in rendering_battery()]
+    masked = sqrt(6) - sqrt(2) * sqrt(3) + Fraction(1, 8)  # exact ties
+    return lines + [approx(masked, 2), approx(-masked, 2)]
+
+
+class TestOldApproxDifferential:
+    def test_approx_matches_fraction_interval_path(self):
+        want = APPROX.read_text().splitlines()
+        got = approx_battery()
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"line {i + 1}"
