@@ -11,7 +11,8 @@ Subcommands:
   verify                                     run the exact invariant suite
 
 Exit status: 0 on success, 1 on domain errors (unsupported n, off-grid
-angle, dyadic depth beyond 5), 2 on usage errors.
+angle, dyadic depth beyond 5, an n whose factors are out of reach), 2 on
+usage errors.
 """
 
 from __future__ import annotations

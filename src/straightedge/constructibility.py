@@ -3,14 +3,24 @@
 The regular n-gon is constructible exactly when n = 2^r * p_1 * ... * p_k
 for distinct Fermat primes p_i = 2^(2^s) + 1.  Verdicts carry either the
 full certificate (r and the prime list, whose product reproduces n) or a
-witness prime explaining the refusal.  Everything runs on desk-scale
-integers, so factoring is plain wheel trial division and primality is the
-deterministic Miller-Rabin witness set for 64-bit inputs.
+witness prime explaining the refusal, always the smallest one that fails.
+
+Factoring trial-divides by the primes below 256 and by the known Fermat
+primes 257 and 65537, so every n the criterion accepts is certified at any
+size.  What remains is split by Pollard-Brent rho (Brent 1980) with fixed
+start values, so every run is deterministic.  Primality is Pepin's test for
+Fermat-shaped numbers 2^(2^s) + 1 up to s = 13, and otherwise Miller-Rabin
+with the first 13 primes as witnesses, proven below 3.3 * 10^24 (Sorenson
+and Webster 2015).  Beyond those ranges, or when rho has not split a
+cofactor within its fixed budget of iterations, a ValueError says so
+instead of running for minutes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 __all__ = [
     "Refusal",
@@ -25,10 +35,27 @@ __all__ = [
 
 KNOWN_FERMAT_PRIMES = (3, 5, 17, 257, 65537)
 
-# Deterministic Miller-Rabin witnesses for every n < 3.3 * 10^24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Trial division covers the primes below _TRIAL_LIMIT and the larger known
+# Fermat primes; rho splits the rest.
+_TRIAL_LIMIT = 256
+_TRIAL_PRIMES = (
+    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
+    157, 163, 167, 173, 179, 181, 191, 193, 197, 199, 211, 223, 227, 229, 233,
+    239, 241, 251, 257, 65537,
+)
 
-_WHEEL = (4, 2, 4, 2, 4, 6, 2, 6)
+# Deterministic Miller-Rabin witnesses for every n below _MR_PROVEN_BELOW.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+
+# Pepin's test is run on Fermat numbers 2^(2^s) + 1 up to this s (8192 bits).
+_PEPIN_MAX_INDEX = 13
+
+# Iterations rho may spend on one cofactor, over all its polynomials; rho
+# runs 64 iterations between gcds.
+_RHO_BUDGET = 1 << 20
+_RHO_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -64,43 +91,101 @@ class Verdict:
 
 
 def smallest_prime_factor(m: int) -> int:
-    """Smallest prime dividing m, by trial division on a mod-30 wheel."""
+    """Smallest prime dividing m."""
     if m < 2:
         raise ValueError("need an integer >= 2")
-    for p in (2, 3, 5):
-        if m % p == 0:
-            return p
-    d = 7
-    i = 0
-    while d * d <= m:
-        if m % d == 0:
-            return d
-        d += _WHEEL[i]
-        i = (i + 1) % len(_WHEEL)
-    return m
+    for p in _TRIAL_PRIMES:
+        if p < _TRIAL_LIMIT and m % p == 0:
+            return p  # every smaller prime was tried
+    return factorize(m)[0][0]
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
-    """Prime factorization as (prime, exponent) pairs, ascending."""
+    """Prime factorization as (prime, exponent) pairs, ascending.
+
+    Raises ValueError when a cofactor is beyond the proven primality range
+    or rho does not split it within its budget.
+    """
     if m < 1:
         raise ValueError("need a positive integer")
-    factors: list[tuple[int, int]] = []
-    while m > 1:
-        p = smallest_prime_factor(m)
-        e = 0
+    primes: list[int] = []
+    for p in _TRIAL_PRIMES:
         while m % p == 0:
             m //= p
-            e += 1
-        factors.append((p, e))
-    return factors
+            primes.append(p)
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _TRIAL_LIMIT**2 or _is_prime(m):  # no prime factor below its root
+            primes.append(m)
+        elif m >= _MR_PROVEN_BELOW:
+            raise ValueError(f"cannot factor a {m.bit_length()}-bit composite cofactor")
+        else:
+            d = _rho(m)
+            pending += [d, m // d]
+    return sorted(Counter(primes).items())
+
+
+def _rho(n: int) -> int:
+    """A proper divisor of the composite n, by Pollard-Brent rho.
+
+    The walks x -> x^2 + c start at 2 for c = 1, 2, ... in turn; a walk
+    whose cycle closes on n itself gives way to the next c.
+    """
+    spent = 0
+    c = 0
+    while spent < _RHO_BUDGET:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and spent < _RHO_BUDGET:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            spent += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: step back one iteration at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    raise ValueError(f"cannot split a {n.bit_length()}-bit cofactor within the rho budget")
+
+
+def _fermat_index(m: int) -> int | None:
+    """The s with m = 2^(2^s) + 1, or None when m has another shape."""
+    t = m - 1
+    if t < 2 or t & (t - 1):
+        return None  # m - 1 is not a power of two above 1
+    k = t.bit_length() - 1
+    if k & (k - 1):
+        return None  # the exponent itself is not a power of two
+    return k.bit_length() - 1
 
 
 def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
+    """Deterministic primality of m >= 2; ValueError beyond the proven range."""
+    s = _fermat_index(m)
+    if s is not None and s >= 1:
+        if s > _PEPIN_MAX_INDEX:
+            raise ValueError(f"2^(2^{s}) + 1 is beyond the range of Pepin's test here")
+        return pow(3, (m - 1) // 2, m) == m - 1  # Pepin
     for p in _MR_WITNESSES:
         if m % p == 0:
             return m == p
+    if m >= _MR_PROVEN_BELOW:
+        raise ValueError(
+            f"a {m.bit_length()}-bit cofactor is beyond the proven Miller-Rabin range"
+        )
     d = m - 1
     s = 0
     while d % 2 == 0:
@@ -123,15 +208,8 @@ def fermat_exponent(p: int) -> int | None:
     """The s with p = 2^(2^s) + 1 if p is a Fermat prime, else None."""
     if p < 2:
         raise ValueError("need an integer >= 2")
-    if p == 2:
-        return None
-    t = p - 1
-    k = t.bit_length() - 1
-    if t != 1 << k:
-        return None  # p - 1 is not a power of two
-    if k != 1 << (k.bit_length() - 1):
-        return None  # the exponent itself is not a power of two
-    return k.bit_length() - 1 if _is_prime(p) else None
+    s = _fermat_index(p)
+    return s if s is not None and _is_prime(p) else None
 
 
 def is_fermat_prime(p: int) -> bool:

@@ -2,9 +2,13 @@
 
 Supported angles are ``3*m / 2**k`` degrees in (0, 90]: everything a
 straightedge and compass can reach starting from the 18/30/45 degree seed
-values.  Integer multiples of 3 degrees are generated by the addition and
-subtraction formulas (15 = 45 - 30, then 3 = 18 - 15, then stepping by 3);
-dyadic subdivisions come from the half-angle formulas, always on the
+values.  Integer multiples of 3 degrees come from the subtraction formula
+for 15 = 45 - 30 and 3 = 18 - 15, and from the binary method of addition
+chains for the rest: a multiple of 6 is the double of its half
+(double-angle formulas), an odd multiple of 3 is 3 more than the even
+multiple below it (addition formulas).  From an empty memo an integer angle
+takes at most 8 derived steps.
+Dyadic subdivisions come from the half-angle formulas, always on the
 positive branch since every grid angle is acute.  Results are memoized, so
 each angle is derived once via a fixed route.
 """
@@ -97,6 +101,9 @@ def _sin_cos_raw(deg: Fraction) -> tuple[Constructible, Constructible]:
                 value = _sum_formula(_sin_cos_raw(Fraction(45)), _sin_cos_raw(Fraction(30)), subtract=True)
             elif deg == 3:
                 value = _sum_formula(_sin_cos_raw(Fraction(18)), _sin_cos_raw(Fraction(15)), subtract=True)
+            elif deg % 6 == 0:
+                s, c = _sin_cos_raw(deg / 2)
+                value = (2 * (s * c), 1 - 2 * (s * s))
             else:
                 value = _sum_formula(_sin_cos_raw(deg - 3), _sin_cos_raw(Fraction(3)))
         else:

@@ -1,7 +1,14 @@
+import os
+import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from straightedge import constructibility
+from straightedge.cli import main
 from straightedge.constructibility import (
     KNOWN_FERMAT_PRIMES,
     factorize,
@@ -10,6 +17,8 @@ from straightedge.constructibility import (
     is_fermat_prime,
     smallest_prime_factor,
 )
+
+MERSENNE_61 = 2**61 - 1
 
 
 def brute_force_constructible(limit: int) -> set[int]:
@@ -113,6 +122,9 @@ class TestSmallestPrimeFactor:
         with pytest.raises(ValueError):
             smallest_prime_factor(1)
 
+    def test_small_factor_of_unfactorable_number(self):
+        assert smallest_prime_factor(3 * (2**89 - 1)) == 3
+
 
 class TestFactorize:
     def test_roundtrip(self):
@@ -124,3 +136,103 @@ class TestFactorize:
 
     def test_sorted_primes(self):
         assert factorize(60) == [(2, 2), (3, 1), (5, 1)]
+
+
+def trial_division_spf(m: int) -> int:
+    """The earlier smallest_prime_factor: a mod-30 wheel up to sqrt(m)."""
+    for p in (2, 3, 5):
+        if m % p == 0:
+            return p
+    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
+    d, i = 7, 0
+    while d * d <= m:
+        if m % d == 0:
+            return d
+        d += wheel[i]
+        i = (i + 1) % len(wheel)
+    return m
+
+
+class TestLargeInputs:
+    def test_mersenne_61_in_process(self):
+        started = time.perf_counter()
+        v = gauss_constructible(MERSENNE_61)
+        assert time.perf_counter() - started < 1.0
+        assert not v.constructible
+        assert v.refusal.kind == "non-fermat-prime" and v.refusal.prime == MERSENNE_61
+
+    def test_mersenne_61_through_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        cmd = [sys.executable, "-m", "straightedge.cli", "constructible", str(MERSENNE_61)]
+        started = time.perf_counter()
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=20)
+        assert time.perf_counter() - started < 2.0
+        assert done.returncode == 0, done.stderr
+        assert f"{MERSENNE_61} is not a Fermat prime" in done.stdout
+
+    def test_rho_split_is_sorted(self):
+        assert factorize(2**64 + 1) == [(274177, 1), (67280421310721, 1)]
+        assert factorize(641 * 6700417 * 65537**9) == [(641, 1), (65537, 9), (6700417, 1)]
+        assert smallest_prime_factor(67280421310721 * 274177) == 274177
+
+    def test_refusal_names_the_smallest_prime(self):
+        v = gauss_constructible(2**32 + 1)
+        assert v.refusal.kind == "non-fermat-prime" and v.refusal.prime == 641
+        v = gauss_constructible(263**2 * 257**3)
+        assert v.refusal.kind == "repeated-odd-prime" and v.refusal.prime == 257
+
+    def test_constructible_n_of_any_size(self):
+        n = 2**5000 * 3 * 5 * 17 * 257 * 65537
+        v = gauss_constructible(n)
+        assert v.constructible and v.certificate_product() == n
+
+    def test_strong_pseudoprime_to_first_twelve_primes(self):
+        # composite, yet a strong probable prime to every base up to 37
+        assert factorize(318665857834031151167461) == [(399165290221, 1), (798330580441, 1)]
+
+    def test_beyond_proven_range_refused(self):
+        with pytest.raises(ValueError, match="proven Miller-Rabin range"):
+            factorize((2**31 - 1) * (2**89 - 1))
+        with pytest.raises(ValueError, match="composite cofactor"):
+            factorize(2**128 + 1)  # Pepin proves it composite; no split in reach
+
+    def test_rho_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(constructibility, "_RHO_BUDGET", 16)
+        with pytest.raises(ValueError, match="rho budget"):
+            factorize(1000003 * 1000033)
+
+    def test_cli_refusal_exits_1(self, capsys):
+        assert main(["constructible", str((2**31 - 1) * (2**89 - 1))]) == 1
+        assert "proven Miller-Rabin range" in capsys.readouterr().err
+
+    def test_pepin_on_fermat_numbers(self):
+        assert [fermat_exponent(2 ** (2**s) + 1) for s in range(11)] == [0, 1, 2, 3, 4] + [None] * 6
+        with pytest.raises(ValueError, match="Pepin"):
+            is_fermat_prime(2 ** (2**14) + 1)
+
+
+class TestOldTrialDivisionDifferential:
+    def test_below_100000(self):
+        for n in range(2, 10**5):
+            assert smallest_prime_factor(n) == trial_division_spf(n), n
+            want = []
+            m = n
+            while m > 1:
+                p = trial_division_spf(m)
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                want.append((p, e))
+            assert factorize(n) == want, n
+
+
+class TestSympyOracle:
+    def test_factorint(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(3)
+        cases = [rng.randrange(2, 2**64) for _ in range(200)]
+        cases += [2**32 + 1, 2**64 + 1, MERSENNE_61 * 65537**2, 1000003 * 1000033 * 2**40]
+        for n in cases:
+            assert factorize(n) == sorted(sympy.factorint(n).items()), n

@@ -1,9 +1,12 @@
+import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
 from conftest import mpf_of
+from straightedge import trig
 from straightedge.exactnum import Constructible, approx, sign, sqrt
 from straightedge.trig import (
     Angle,
@@ -13,6 +16,8 @@ from straightedge.trig import (
     sin_cos,
     tan,
 )
+
+TRIG_GRID = Path(__file__).parent / "golden" / "trig_grid.txt"
 
 
 def closed_forms():
@@ -79,6 +84,34 @@ class TestIdentities:
     def test_boundary_values(self):
         s90, c90 = sin_cos(90)
         assert s90 == 1 and c90 == 0
+
+
+class TestRoute:
+    @pytest.fixture
+    def empty_memo(self):
+        saved = dict(trig._memo)
+        trig._memo.clear()
+        yield trig._memo
+        trig._memo.clear()
+        trig._memo.update(saved)
+
+    def test_integer_angles_take_at_most_eight_steps(self, empty_memo):
+        seeds = len(trig._seed_values())
+        derived = {}
+        for m in range(1, 31):
+            empty_memo.clear()
+            sin_cos(3 * m)
+            derived[3 * m] = len(empty_memo) - seeds
+        assert max(derived.values()) <= 8, derived  # stepping by 3 took 17 at 87
+        assert derived[36] == derived[60] == derived[90] == 1
+
+    def test_integer_angles_against_oracle(self):
+        with mp.workdps(60):
+            for m in range(1, 31):
+                s, c = sin_cos(3 * m)
+                angle = mp.radians(3 * m)
+                assert abs(mpf_of(s) - mp.sin(angle)) < mp.mpf(10) ** -50, f"sin {3 * m}"
+                assert abs(mpf_of(c) - mp.cos(angle)) < mp.mpf(10) ** -50, f"cos {3 * m}"
 
 
 class TestTan:
@@ -184,3 +217,35 @@ class TestPointOnCircle:
             c, s = point_on_circle(Fraction(deg))
             assert abs(mpf_of(c) - mp.cos(mp.radians(int(deg)))) < mp.mpf(10) ** -30
             assert abs(mpf_of(s) - mp.sin(mp.radians(int(deg)))) < mp.mpf(10) ** -30
+
+
+def trig_grid_lines() -> list[str]:
+    """Lines frozen in golden/trig_grid.txt, one per grid angle 3*m/2^k, k <= 3.
+
+    Each line is ``deg sin cos tan`` (``tan`` reads ``undefined`` at 90).
+    Angles with k <= 2 keep the full renderings; at k = 3 the line is
+    ``deg`` and the SHA-256 of its full form, which keeps the file small.
+    The file was written by the earlier route, which reached every integer
+    angle 3m by stepping 3 degrees at a time from a seed.  It is the
+    differential check of the doubling route against that path, so it must
+    never be regenerated from the current code.
+    """
+    lines = []
+    for m in range(1, 241):
+        deg = Fraction(3 * m, 8)
+        s, c = sin_cos(Angle(deg))
+        t = "undefined" if deg == 90 else str(tan(Angle(deg)))
+        line = f"{deg} {s} {c} {t}"
+        if deg.denominator == 8:
+            line = f"{deg} {hashlib.sha256(line.encode()).hexdigest()}"
+        lines.append(line)
+    return lines
+
+
+class TestOldRouteDifferential:
+    def test_grid_matches_three_degree_ladder(self):
+        want = TRIG_GRID.read_text().splitlines()
+        got = trig_grid_lines()
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
