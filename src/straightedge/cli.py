@@ -11,8 +11,10 @@ Subcommands:
   verify                                     run the exact invariant suite
 
 Exit status: 0 on success, 1 on domain errors (unsupported n, off-grid
-angle, dyadic depth beyond 5, an n whose factors are out of reach), 2 on
-usage errors.
+angle, dyadic depth beyond 5, an n whose factors are out of reach: a
+cofactor above 160 bits or beyond the proven primality range, or one that
+rho does not split within its budget, such as two primes near 10^12 or
+larger), 2 on usage errors.
 """
 
 from __future__ import annotations

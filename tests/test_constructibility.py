@@ -124,6 +124,14 @@ class TestSmallestPrimeFactor:
 
     def test_small_factor_of_unfactorable_number(self):
         assert smallest_prime_factor(3 * (2**89 - 1)) == 3
+        assert smallest_prime_factor(263 * (2**89 - 1)) == 263
+        assert smallest_prime_factor(65537 * (2**107 - 1) * (2**89 - 1)) == 65537
+
+    def test_larger_factor_needs_the_whole_factorization(self):
+        # 65539 is the first prime past trial division; 2^89 - 1 cannot be
+        # proven prime, so it might hide a smaller factor
+        with pytest.raises(ValueError, match="proven Miller-Rabin range"):
+            smallest_prime_factor(65539 * (2**89 - 1))
 
 
 class TestFactorize:
@@ -194,8 +202,40 @@ class TestLargeInputs:
     def test_beyond_proven_range_refused(self):
         with pytest.raises(ValueError, match="proven Miller-Rabin range"):
             factorize((2**31 - 1) * (2**89 - 1))
-        with pytest.raises(ValueError, match="composite cofactor"):
-            factorize(2**128 + 1)  # Pepin proves it composite; no split in reach
+        with pytest.raises(ValueError, match="cannot factor a 196-bit cofactor"):
+            factorize((2**89 - 1) * (2**107 - 1))
+        with pytest.raises(ValueError, match="cannot factor a 641-bit cofactor"):
+            factorize(65539**40)  # untested above 160 bits, even with small primes
+
+    def test_composites_beyond_proven_range_are_split(self):
+        primes_263_to_313 = [263, 269, 271, 277, 281, 283, 293, 307, 311, 313]
+        n = 1
+        for p in primes_263_to_313:
+            n *= p
+        assert n > constructibility._MR_PROVEN_BELOW
+        assert factorize(n) == [(p, 1) for p in primes_263_to_313]
+        v = gauss_constructible(n)
+        assert v.refusal.kind == "non-fermat-prime" and v.refusal.prime == 263
+        v = gauss_constructible(263**11)
+        assert v.refusal.kind == "repeated-odd-prime" and v.refusal.prime == 263
+        # past trial division, a witness shows the cofactor composite and rho
+        # splits it, however large
+        n = 1000003 * 1000033 * MERSENNE_61
+        assert n > constructibility._MR_PROVEN_BELOW
+        assert factorize(n) == [(1000003, 1), (1000033, 1), (MERSENNE_61, 1)]
+        v = gauss_constructible(65539**7)
+        assert v.refusal.kind == "repeated-odd-prime" and v.refusal.prime == 65539
+
+    def test_balanced_semiprime_in_range(self):
+        # factors near 10^12 are split; near sqrt(3.3e24) the rho budget runs out
+        assert factorize(1000000000039 * 1000000000061) == [
+            (1000000000039, 1),
+            (1000000000061, 1),
+        ]
+        n = 1821000000013 * 1821000000049
+        assert n < constructibility._MR_PROVEN_BELOW
+        with pytest.raises(ValueError, match="rho budget"):
+            factorize(n)
 
     def test_rho_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(constructibility, "_RHO_BUDGET", 16)
