@@ -11,10 +11,10 @@ Subcommands:
   verify                                     run the exact invariant suite
 
 Exit status: 0 on success, 1 on domain errors (unsupported n, off-grid
-angle, dyadic depth beyond 5, an n whose factors are out of reach: a
-cofactor above 160 bits or beyond the proven primality range, or one that
-rho does not split within its budget, such as two primes near 10^12 or
-larger), 2 on usage errors.
+angle, dyadic depth beyond 5, --digits outside 1..MAX_DIGITS, an n whose
+factors are out of reach: a cofactor above 160 bits or beyond the proven
+primality range, or one that rho does not split within its budget, such as
+two primes near 10^12 or larger), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -23,24 +23,33 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .construct import construct_polygon, trace_to_json
-from .constructibility import gauss_constructible
-from .exactnum import approx, sqrt
-from .geom import dist_sq
-from .icosahedron import build_icosahedron, export_mesh, verify_icosahedron
-from .selfcheck import run_all_checks
-from .svg import RenderConfig, render_svg
-from .trig import Angle, sin_cos, tan
+from .trig import MAX_TRIG_DEPTH
+
+# Each command imports the modules it uses inside its function, so that a
+# cold process compiles and loads only those: `constructible` needs none of
+# the geometry, SVG or icosahedron code.
 
 __all__ = ["main"]
 
-# Deepest dyadic subdivision 3*m/2^k that `trig` computes.  Each halving
-# adjoins a radicand and about doubles the cost; the limit keeps every
-# admitted angle to a few seconds.
-MAX_TRIG_DEPTH = 5
+# Largest --digits for `construct` and `icosahedron`.  Python refuses to
+# print an int of more than 4300 digits (sys.get_int_max_str_digits), and
+# the SVG coordinates carry 4 guard digits.  At the limit `icosahedron` takes
+# 0.3 s and `construct 20 --svg` 1.3 s.
+MAX_DIGITS = 4295
+
+
+def _check_digits(digits: int) -> None:
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ValueError(f"--digits must be in 1..{MAX_DIGITS}, got {digits}")
 
 
 def _cmd_construct(args) -> int:
+    from .construct import construct_polygon, trace_to_json
+    from .exactnum import approx, sqrt
+    from .geom import dist_sq
+    from .svg import RenderConfig, render_svg
+
+    _check_digits(args.digits)
     polygon, trace = construct_polygon(args.n)
     if args.json:
         with open(args.json, "w") as fh:
@@ -61,6 +70,9 @@ def _cmd_construct(args) -> int:
 
 
 def _print_table(angles: list[int]) -> None:
+    from .exactnum import approx
+    from .trig import sin_cos
+
     headers = ["angle"] + [f"{a}°" for a in angles]
     sines = ["sin"]
     sines_dec = ["  ≈"]
@@ -86,32 +98,36 @@ def _cmd_table(_args) -> int:
 
 
 def _cmd_trig(args) -> int:
+    from .exactnum import approx
+    from .trig import Angle, sin_cos, tan
+
     try:
         degrees = Fraction(args.degrees)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot read {args.degrees!r} as a rational number of degrees")
     angle = Angle(degrees)
-    depth = (degrees / 3).denominator.bit_length() - 1
-    if depth > MAX_TRIG_DEPTH:
-        raise ValueError(
-            f"{degrees} degrees is 3*m/2^{depth}; trig supports dyadic depth "
-            f"k <= {MAX_TRIG_DEPTH}"
-        )
+    # tan refuses an angle beyond MAX_TRIG_DEPTH at once, before anything is
+    # printed or derived.
+    t = tan(angle) if degrees != 90 else None
     s, c = sin_cos(angle)
     print(f"sin {degrees}° = {s} = {approx(s, 6)}")
     print(f"cos {degrees}° = {c} = {approx(c, 6)}")
-    if degrees != 90:
-        t = tan(angle)
+    if t is not None:
         print(f"tan {degrees}° = {t} = {approx(t, 6)}")
     return 0
 
 
 def _cmd_constructible(args) -> int:
+    from .constructibility import gauss_constructible
+
     print(gauss_constructible(args.n))
     return 0
 
 
 def _cmd_icosahedron(args) -> int:
+    from .icosahedron import build_icosahedron, export_mesh, verify_icosahedron
+
+    _check_digits(args.digits)
     mesh = build_icosahedron()
     report = verify_icosahedron(mesh)
     text = export_mesh(mesh, args.digits)
@@ -130,6 +146,8 @@ def _cmd_icosahedron(args) -> int:
 
 
 def _cmd_verify(_args) -> int:
+    from .selfcheck import run_all_checks
+
     report = run_all_checks()
     print(report)
     failed = len(report.failures())
@@ -148,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--svg", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
-    p.add_argument("--digits", type=int, default=5)
+    p.add_argument("--digits", type=int, default=5, help=f"SVG coordinate precision, 1..{MAX_DIGITS}")
     p.add_argument("--no-labels", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
@@ -167,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("icosahedron", help="build and export the icosahedron")
     p.add_argument("--obj", metavar="PATH")
-    p.add_argument("--digits", type=int, default=6)
+    p.add_argument("--digits", type=int, default=6, help=f"OBJ decimals, 1..{MAX_DIGITS}")
     p.set_defaults(func=_cmd_icosahedron)
 
     p = sub.add_parser("verify", help="run the exact invariant suite")

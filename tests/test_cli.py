@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from straightedge.cli import main
+from straightedge.cli import MAX_DIGITS, main
 from straightedge.construct import construct_polygon
 from straightedge.svg import RenderConfig, render_svg
 from straightedge.construct import Trace
@@ -99,6 +99,28 @@ class TestDispatch:
         with mp.workdps(1350):
             phi = mp.nstr((1 + mp.sqrt(5)) / 2, 1301, strip_zeros=False)
         assert (x, y, z) == ("1." + "0" * 1300, phi, "0." + "0" * 1300)
+
+    def test_icosahedron_digits_limit(self, capsys):
+        assert main(["icosahedron", "--digits", str(MAX_DIGITS)]) == 0
+        _, x, y, z = capsys.readouterr().out.splitlines()[0].split()
+        with mp.workdps(MAX_DIGITS + 50):
+            phi = mp.nstr((1 + mp.sqrt(5)) / 2, MAX_DIGITS + 1, strip_zeros=False)
+        assert (x, y, z) == ("1." + "0" * MAX_DIGITS, phi, "0." + "0" * MAX_DIGITS)
+        for bad in (0, MAX_DIGITS + 1):
+            assert main(["icosahedron", "--digits", str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"1..{MAX_DIGITS}" in captured.err
+
+    def test_construct_digits_limit(self, tmp_path, capsys):
+        svg = tmp_path / "p4.svg"
+        assert main(["construct", "4", "--svg", str(svg), "--digits", str(MAX_DIGITS)]) == 0
+        assert svg.read_text().startswith("<svg")
+        svg.unlink()
+        for bad in (0, MAX_DIGITS + 1):
+            assert main(["construct", "4", "--svg", str(svg), "--digits", str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert f"1..{MAX_DIGITS}" in captured.err
+            assert not svg.exists()
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0

@@ -1,0 +1,108 @@
+"""The import surface: what `import straightedge` and a cold CLI command load.
+
+Each check that looks at `sys.modules` runs in a fresh interpreter, because
+the test session has already imported every submodule.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import straightedge
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The public names of the package and the submodule that defines each one.
+PUBLIC = {
+    "construct": [
+        "Polygon", "SUPPORTED_POLYGONS", "Step", "Trace", "construct_polygon",
+        "double_polygon", "replay", "trace_to_dict", "trace_to_json", "verify_regular",
+    ],
+    "constructibility": [
+        "KNOWN_FERMAT_PRIMES", "Refusal", "Verdict", "gauss_constructible",
+        "is_fermat_prime", "smallest_prime_factor",
+    ],
+    "exactnum": ["Constructible", "approx", "parse", "sign", "sqrt"],
+    "geom": [
+        "Circle", "Line", "Point", "dist_sq", "intersect_circles", "intersect_line_circle",
+        "intersect_lines", "midpoint", "perpendicular_bisector",
+    ],
+    "icosahedron": [
+        "GoldenRectangle", "IcosaMesh", "PHI", "Point3", "build_icosahedron",
+        "export_mesh", "golden_rectangles", "verify_icosahedron",
+    ],
+    "reporting": ["Check", "Report"],
+    "svg": ["RenderConfig", "render_svg"],
+    "trig": ["Angle", "max_building_height", "point_on_circle", "side_length", "sin_cos", "tan"],
+}
+ALL_NAMES = sorted(name for names in PUBLIC.values() for name in names)
+
+LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'straightedge')"
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a new interpreter and return the JSON it prints last."""
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + old if old else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_the_numeric_core():
+    loaded = run_fresh(f"import straightedge\nprint(json.dumps({LOADED}))")
+    assert loaded == ["straightedge", "straightedge.exactnum", "straightedge.trig"]
+
+
+def test_constructible_loads_no_geometry():
+    loaded = run_fresh(
+        "from straightedge import cli\n"
+        "assert cli.main(['constructible', '1020']) == 0\n"
+        f"print(json.dumps({LOADED}))"
+    )
+    assert "straightedge.constructibility" in loaded
+    for name in ("construct", "geom", "svg", "icosahedron", "selfcheck", "reporting"):
+        assert f"straightedge.{name}" not in loaded
+
+
+def test_all_is_the_public_surface():
+    assert len(ALL_NAMES) == 48
+    assert sorted(straightedge.__all__) == ALL_NAMES
+
+
+def test_names_resolve_to_their_submodule_objects():
+    same = run_fresh(
+        "import importlib, straightedge\n"
+        f"public = {PUBLIC!r}\n"
+        "print(json.dumps({name: getattr(straightedge, name) is getattr(\n"
+        "    importlib.import_module('straightedge.' + module), name)\n"
+        "    for module, names in public.items() for name in names}))"
+    )
+    assert sorted(same) == ALL_NAMES
+    assert all(same.values()), [name for name, ok in same.items() if not ok]
+
+
+def test_dir_and_star_import_cover_every_name():
+    listed, star = run_fresh(
+        "import straightedge\n"
+        "listed = dir(straightedge)\n"
+        "namespace = {}\n"
+        "exec('from straightedge import *', namespace)\n"
+        "print(json.dumps([listed, sorted(set(namespace) - {'__builtins__'})]))"
+    )
+    assert set(ALL_NAMES) <= set(listed)
+    assert star == ALL_NAMES
+
+
+def test_unknown_name_raises_attribute_error():
+    try:
+        straightedge.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc)
+    else:
+        raise AssertionError("straightedge.no_such_name resolved")

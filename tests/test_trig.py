@@ -1,4 +1,5 @@
 import hashlib
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,6 +135,23 @@ class TestTan:
         t = tan(36)
         _, c = sin_cos(36)
         assert sign(t * t + 1 - 1 / (c * c)) == 0
+
+    def test_deepest_admitted_depth(self):
+        deg = Fraction(3, 2**trig.MAX_TRIG_DEPTH)
+        t = tan(deg)
+        with mp.workdps(60):
+            want = mp.tan(mp.radians(mp.mpf(deg.numerator) / deg.denominator))
+            assert abs(mpf_of(t) - want) < mp.mpf(10) ** -50
+
+    @pytest.mark.parametrize("k", [trig.MAX_TRIG_DEPTH + 1, 12, 16])
+    def test_deeper_angles_refused_at_once(self, k):
+        # tan(3/2^12) ran for over a minute before the guard.
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=f"k <= {trig.MAX_TRIG_DEPTH}"):
+            tan(Fraction(3, 2**k))
+        with pytest.raises(ValueError, match=f"3\\*m/2\\^{k}"):
+            max_building_height(100, Fraction(3, 2**k))
+        assert time.perf_counter() - started < 1.0
 
 
 class TestSideLength:
