@@ -1,5 +1,7 @@
+import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,10 @@ from straightedge.construct import (
 )
 from straightedge.exactnum import Constructible, sign, sqrt
 from straightedge.geom import Point, dist_sq
+from straightedge.svg import render_svg
 from straightedge.trig import point_on_circle, side_length
+
+DOUBLING = Path(__file__).parent / "golden" / "doubling.txt"
 
 
 def vertex_set_equal(ps, qs) -> bool:
@@ -207,3 +212,43 @@ class TestVerifyRegular:
         assert sign(chord_sq - expected * expected) == 0
         report = verify_regular(poly)
         assert any("2*sin(180/20)" in c.name and c.passed for c in report.checks)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def doubling_lines() -> list[str]:
+    """Lines frozen in golden/doubling.txt.
+
+    First ``json n <sha>`` and ``svg n <sha>`` for the trace and default SVG
+    of every supported polygon, then ``start->n i x y`` for every vertex of
+    the chains 3->24, 4->32, 5->40 and 20->80, starting polygon included
+    (the longest vertex line is about 1 KB, so none is hashed).  The file
+    was written by the route that cut each side's mediatrix from two compass
+    circles, so it is the differential check of every later mediatrix and
+    must never be regenerated from the current code.
+    """
+    lines = []
+    for n in SUPPORTED_POLYGONS:
+        polygon, trace = construct_polygon(n)
+        lines.append(f"json {n} {_sha256(trace_to_json(trace))}")
+        lines.append(f"svg {n} {_sha256(render_svg(trace, polygon=polygon))}")
+    for start, stop in ((3, 24), (4, 32), (5, 40), (20, 80)):
+        p = construct_polygon(start)[0]
+        while True:
+            for i, v in enumerate(p.vertices):
+                lines.append(f"{start}->{p.n} {i} {v.x} {v.y}")
+            if p.n == stop:
+                break
+            p = double_polygon(p)
+    return lines
+
+
+class TestDoublingGolden:
+    def test_outputs_and_doubled_vertices_match(self):
+        want = DOUBLING.read_text().splitlines()
+        got = doubling_lines()
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
