@@ -26,6 +26,8 @@ from .geom import (
     Circle,
     Line,
     Point,
+    _cmp_lex,
+    _sorted_points,
     dist_sq,
     intersect_circles,
     intersect_line_circle,
@@ -307,14 +309,6 @@ def _ccw_sorted(points: list[Point]) -> list[Point]:
     return sorted(points, key=cmp_to_key(_cmp_ccw))
 
 
-def _dedupe(points: list[Point]) -> list[Point]:
-    unique: list[Point] = []
-    for p in points:
-        if all(p != q for q in unique):
-            unique.append(p)
-    return unique
-
-
 # -- the construction programs ----------------------------------------------------
 
 
@@ -425,9 +419,9 @@ def construct_polygon(n: int) -> tuple[Polygon, Trace]:
             vertices += _pentagon_from(b, "T", "IDm", "c")
             vertices += _pentagon_from(b, "T'", "IDm", "d")
 
-    vertices = _ccw_sorted(_dedupe(vertices))
-    if len(vertices) != n:
-        raise AssertionError(f"construction produced {len(vertices)} vertices")
+    vertices = _ccw_sorted(vertices)
+    if any(_cmp_ccw(v, w) >= 0 for v, w in zip(vertices, vertices[1:])):
+        raise AssertionError("construction produced a repeated vertex")
     polygon = Polygon(n=n, vertices=tuple(vertices), center=b.bindings["O"])
     return polygon, b.trace()
 
@@ -482,11 +476,8 @@ def verify_regular(p: Polygon) -> Report:
         )
     )
 
-    duplicates = any(
-        p.vertices[i] == p.vertices[j]
-        for i in range(p.n)
-        for j in range(i + 1, p.n)
-    )
+    ordered = _sorted_points(p.vertices)
+    duplicates = any(_cmp_lex(v, w) == 0 for v, w in zip(ordered, ordered[1:]))
     checks.append(Check("vertices pairwise distinct", not duplicates))
 
     try:

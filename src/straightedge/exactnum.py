@@ -462,14 +462,6 @@ def sqrt(x) -> Constructible:
         raise ValueError("square root of a negative constructible number")
     if s == 0:
         return ZERO
-    if x.r is None:
-        q = x.a
-        inner, outer = _squarefree_split(q.numerator * q.denominator)
-        if inner == 1:
-            return _rational(Fraction(outer, q.denominator))
-        return Constructible(
-            ZERO, _rational(Fraction(outer, q.denominator)), _rational(Fraction(inner))
-        )
     within = _sqrt_within(x)
     if within is not None:
         return within

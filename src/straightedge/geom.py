@@ -63,6 +63,20 @@ def _sorted_points(points: list[Point]) -> list[Point]:
     return sorted(points, key=cmp_to_key(_cmp_lex))
 
 
+def _canonical(a, b, c) -> tuple[Constructible, Constructible, Constructible]:
+    """Scale a*x + b*y = c so that its first nonzero coefficient is 1.
+
+    A coefficient that is zero in value is stored as the rational ZERO: a
+    difference of equal values built on different radicands is zero without
+    rendering as 0, and equal lines must render equal triples.
+    """
+    if sign(a) != 0:
+        a, b, c = ONE, b / a, c / a
+    else:
+        a, b, c = ZERO, ONE, c / b
+    return a, ZERO if sign(b) == 0 else b, ZERO if sign(c) == 0 else c
+
+
 @dataclass(frozen=True)
 class Line:
     """Line through two distinct points.
@@ -78,14 +92,10 @@ class Line:
     def __post_init__(self):
         if self.p == self.q:
             raise ValueError("a line needs two distinct points")
-        a0 = self.q.y - self.p.y
-        b0 = self.p.x - self.q.x
-        c0 = a0 * self.p.x + b0 * self.p.y
-        if sign(a0) != 0:
-            coeffs = (ONE, b0 / a0, c0 / a0)
-        else:
-            coeffs = (ZERO, ONE, c0 / b0)
-        object.__setattr__(self, "_coeffs", coeffs)
+        a = self.q.y - self.p.y
+        b = self.p.x - self.q.x
+        c = a * self.p.x + b * self.p.y
+        object.__setattr__(self, "_coeffs", _canonical(a, b, c))
 
     @property
     def coefficients(self) -> tuple[Constructible, Constructible, Constructible]:
@@ -173,7 +183,11 @@ def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
     defining points, so auxiliary radicals from helper constructions never
     leak into the result's representation.
     """
-    a, b, cc = l.coefficients
+    return _cut_circle(*l.coefficients, c)
+
+
+def _cut_circle(a, b, cc, c: Circle) -> list[Point]:
+    # The line a*x + b*y = cc in canonical form (see _canonical) against c.
     cx, cy = c.center.x, c.center.y
     if sign(a) != 0:
         # x = cc - b*y (a is normalized to 1)
@@ -191,16 +205,6 @@ def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
     return _sorted_points(pts)
 
 
-def _line_from_coefficients(a, b, c) -> Line:
-    if sign(b) != 0:
-        p = Point(ZERO, c / b)
-        q = Point(ONE, (c - a) / b)
-    else:
-        p = Point(c / a, ZERO)
-        q = Point(c / a, ONE)
-    return Line(p, q)
-
-
 def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
     """Intersection points via the radical line, sorted lexicographically.
 
@@ -213,14 +217,17 @@ def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
     a = 2 * (x2 - x1)
     b = 2 * (y2 - y1)
     c = c1.radius_sq - c2.radius_sq + (x2 * x2 + y2 * y2) - (x1 * x1 + y1 * y1)
-    radical = _line_from_coefficients(a, b, c)
-    return intersect_line_circle(radical, c1)
+    return _cut_circle(*_canonical(a, b, c), c1)
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
-    """The mediatrix of pq, built the way a compass does it: through the two
-    intersection points of the circles centered at p and q with radius |pq|."""
+    """The mediatrix of pq: the same line as the compass move through the two
+    intersections of the circles centered at p and q with radius |pq|.
+
+    It is built without a square root, as the line through the midpoint
+    ``.p`` and the midpoint's quarter turn ``.q`` (the midpoint plus pq
+    rotated by 90 degrees counterclockwise)."""
     if p == q:
         raise ValueError("perpendicular bisector needs two distinct points")
-    pts = intersect_circles(Circle(p, q), Circle(q, p))
-    return Line(pts[0], pts[1])
+    m = midpoint(p, q)
+    return Line(m, Point(m.x - (q.y - p.y), m.y + (q.x - p.x)))

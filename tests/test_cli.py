@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +134,27 @@ class TestDispatch:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["table"], ["icosahedron", "--digits", "4295"]], ids=["flush", "print"]
+    )
+    def test_closed_stdout_exits_1_quietly(self, argv):
+        # A pipe whose read end is closed: every write fails with EPIPE, as
+        # after `straightedge ... | head -1` has exited.  `table` is small
+        # enough to fail at the final flush, the icosahedron inside a print.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "straightedge.cli", *argv],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        # No `Traceback`, no `Exception ignored` from the flush at exit.
+        assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestDeterminism:

@@ -205,6 +205,14 @@ class TestVerifyRegular:
         assert not report.ok
         assert any("distance 1" in c.name for c in report.failures())
 
+    def test_repeated_vertex_fails_distinctness(self):
+        poly, _ = construct_polygon(4)
+        v = poly.vertices
+        # radii, chords and the chord length all still hold
+        repeated = Polygon(4, (v[0], v[1], v[0], v[3]), poly.center)
+        failures = verify_regular(repeated).failures()
+        assert [c.name for c in failures] == ["vertices pairwise distinct"]
+
     def test_icosagon_chord_is_2_sin_9(self):
         poly, _ = construct_polygon(20)
         chord_sq = dist_sq(poly.vertices[0], poly.vertices[1])

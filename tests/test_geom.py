@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from straightedge import geom
+from straightedge.construct import construct_polygon, double_polygon
 from straightedge.exactnum import Constructible, sign, sqrt
 from straightedge.geom import (
     Circle,
@@ -170,3 +172,29 @@ class TestPerpendicularBisector:
         bis = perpendicular_bisector(p, q)
         analytic = Line(Point.of(0, 2), Point.of(2, 0))
         assert bis.coefficients == analytic.coefficients
+
+    def test_equals_two_circle_line_on_polygon_sides(self):
+        # differential check against the compass move, on every side of the
+        # 20-gon and the 40-gon
+        p20 = construct_polygon(20)[0]
+        for poly in (p20, double_polygon(p20)):
+            vs = poly.vertices
+            for v, w in zip(vs, vs[1:] + vs[:1]):
+                compass = Line(*intersect_circles(Circle(v, w), Circle(w, v)))
+                assert perpendicular_bisector(v, w).coefficients == compass.coefficients
+
+    def test_takes_no_square_root(self, monkeypatch):
+        v, w = construct_polygon(20)[0].vertices[:2]
+
+        def refuse(x):
+            raise AssertionError("perpendicular_bisector took a square root")
+
+        monkeypatch.setattr(geom, "sqrt", refuse)
+        # the circles about O and A meet at (1/2, +-sqrt(3)/2)
+        bis = perpendicular_bisector(O, A)
+        assert bis.coefficients == (1, 0, Fraction(1, 2))
+        assert bis.p == Point.of(Fraction(1, 2), 0)
+        assert bis.q == Point.of(Fraction(1, 2), 1)
+        bis = perpendicular_bisector(v, w)
+        assert bis.p == midpoint(v, w)
+        assert bis.contains(midpoint(v, w))
