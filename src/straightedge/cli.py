@@ -14,9 +14,8 @@ Exit status: 0 on success, 1 on domain errors (unsupported n, off-grid
 angle, dyadic depth beyond 5, --digits outside 1..MAX_DIGITS, an n whose
 factors are out of reach: a cofactor above 160 bits or beyond the proven
 primality range, or one that rho does not split within its budget, such as
-two primes near 10^12 or larger) and when the reader closes stdout before
-all output is written (as `straightedge table | head -1` does), 2 on usage
-errors.
+two primes near 10^12 or larger) and on a stdout closed early, as by
+`| head -1`, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -202,15 +201,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         status = args.func(args)
-        # Flush here so that a closed pipe raises inside this try.
-        sys.stdout.flush()
+        sys.stdout.flush()  # a closed pipe must raise inside this try
         return status
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:
-        # Python flushes stdout again at exit; point it at devnull so that
-        # flush cannot raise a second time.
+        # Python flushes stdout again at exit; devnull keeps that one quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

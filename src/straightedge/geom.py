@@ -64,12 +64,9 @@ def _sorted_points(points: list[Point]) -> list[Point]:
 
 
 def _canonical(a, b, c) -> tuple[Constructible, Constructible, Constructible]:
-    """Scale a*x + b*y = c so that its first nonzero coefficient is 1.
-
-    A coefficient that is zero in value is stored as the rational ZERO: a
-    difference of equal values built on different radicands is zero without
-    rendering as 0, and equal lines must render equal triples.
-    """
+    """a*x + b*y = c scaled so that its first nonzero coefficient is 1.  A
+    zero built on different radicands need not render as 0, so every zero
+    coefficient is stored as the rational ZERO."""
     if sign(a) != 0:
         a, b, c = ONE, b / a, c / a
     else:
@@ -221,12 +218,9 @@ def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:
 
 
 def perpendicular_bisector(p: Point, q: Point) -> Line:
-    """The mediatrix of pq: the same line as the compass move through the two
-    intersections of the circles centered at p and q with radius |pq|.
-
-    It is built without a square root, as the line through the midpoint
-    ``.p`` and the midpoint's quarter turn ``.q`` (the midpoint plus pq
-    rotated by 90 degrees counterclockwise)."""
+    """The mediatrix of pq, the same line as the compass move through the
+    circles about p and q.  No square root is taken: ``.p`` is the midpoint
+    and ``.q`` the midpoint plus pq turned 90 degrees counterclockwise."""
     if p == q:
         raise ValueError("perpendicular bisector needs two distinct points")
     m = midpoint(p, q)

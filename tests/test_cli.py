@@ -140,10 +140,12 @@ class TestDispatch:
     )
     def test_closed_stdout_exits_1_quietly(self, argv):
         # A pipe whose read end is closed: every write fails with EPIPE, as
-        # after `straightedge ... | head -1` has exited.  `table` is small
-        # enough to fail at the final flush, the icosahedron inside a print.
+        # after `straightedge ... | head -1` has exited.  With stdout block
+        # buffered, `table` fails at the final flush and the icosahedron
+        # inside a print.
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:

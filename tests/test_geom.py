@@ -197,4 +197,3 @@ class TestPerpendicularBisector:
         assert bis.q == Point.of(Fraction(1, 2), 1)
         bis = perpendicular_bisector(v, w)
         assert bis.p == midpoint(v, w)
-        assert bis.contains(midpoint(v, w))
