@@ -11,11 +11,12 @@ Subcommands:
   verify                                     run the exact invariant suite
 
 Exit status: 0 on success, 1 on domain errors (unsupported n, off-grid
-angle, dyadic depth beyond 5, --digits outside 1..MAX_DIGITS, an n whose
-factors are out of reach: a cofactor above 160 bits or beyond the proven
-primality range, or one that rho does not split within its budget, such as
-two primes near 10^12 or larger) and on a stdout closed early, as by
-`| head -1`, 2 on usage errors.
+angle, dyadic depth beyond 5, --digits outside 1..MAX_DIGITS, or a lower
+ceiling under a lower PYTHONINTMAXSTRDIGITS, an n whose factors are out of
+reach: a cofactor above 160 bits or beyond the proven primality range, or
+one that rho does not split within its budget, such as two primes near
+10^12 or larger) and on a stdout closed early, as by `| head -1`, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -29,20 +30,30 @@ from .trig import MAX_TRIG_DEPTH
 
 # Each command imports the modules it uses inside its function, so that a
 # cold process compiles and loads only those: `constructible` needs none of
-# the geometry, SVG or icosahedron code.
+# the geometry, SVG or icosahedron code.  The value classes are plain
+# `__slots__` classes, not dataclasses: `dataclasses` imports `inspect`, and
+# with it `ast`, `dis` and `tokenize`, which no command uses.
 
 __all__ = ["main"]
 
-# Largest --digits for `construct` and `icosahedron`.  Python refuses to
-# print an int of more than 4300 digits (sys.get_int_max_str_digits), and
-# the SVG coordinates carry 4 guard digits.  At the limit `icosahedron` takes
-# 0.3 s and `construct 20 --svg` 1.3 s.
+# Largest --digits for `construct` and `icosahedron` under Python's default
+# limit of 4300 digits on converting an int to or from a string: an SVG
+# coordinate goes through an int of digits + 5 decimal digits (one integer
+# digit and 4 guard digits).  At this ceiling `icosahedron` takes 0.3 s and
+# `construct 20 --svg` 1.3 s, so a higher or no limit (0) keeps it.
 MAX_DIGITS = 4295
 
 
+def _max_digits() -> int:
+    """The --digits ceiling under this process's int-to-str limit."""
+    limit = sys.get_int_max_str_digits()
+    return min(MAX_DIGITS, limit - 5) if limit else MAX_DIGITS
+
+
 def _check_digits(digits: int) -> None:
-    if not 1 <= digits <= MAX_DIGITS:
-        raise ValueError(f"--digits must be in 1..{MAX_DIGITS}, got {digits}")
+    ceiling = _max_digits()
+    if not 1 <= digits <= ceiling:
+        raise ValueError(f"--digits must be in 1..{ceiling}, got {digits}")
 
 
 def _cmd_construct(args) -> int:
@@ -163,12 +174,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact straightedge-and-compass constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ceiling = _max_digits()
 
     p = sub.add_parser("construct", help="construct a regular polygon")
     p.add_argument("n", type=int)
     p.add_argument("--svg", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
-    p.add_argument("--digits", type=int, default=5, help=f"SVG coordinate precision, 1..{MAX_DIGITS}")
+    p.add_argument("--digits", type=int, default=5, help=f"SVG coordinate precision, 1..{ceiling}")
     p.add_argument("--no-labels", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
@@ -187,7 +199,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("icosahedron", help="build and export the icosahedron")
     p.add_argument("--obj", metavar="PATH")
-    p.add_argument("--digits", type=int, default=6, help=f"OBJ decimals, 1..{MAX_DIGITS}")
+    p.add_argument("--digits", type=int, default=6, help=f"OBJ decimals, 1..{ceiling}")
     p.set_defaults(func=_cmd_icosahedron)
 
     p = sub.add_parser("verify", help="run the exact invariant suite")

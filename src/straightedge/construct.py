@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .exactnum import Constructible, ONE, ZERO, parse, sign
+from .exactnum import Constructible, ONE, ZERO, _Record, parse, sign
 from .geom import (
     Circle,
     Line,
@@ -54,32 +53,42 @@ __all__ = [
 SUPPORTED_POLYGONS = (3, 4, 5, 6, 10, 20)
 
 
-@dataclass(frozen=True)
-class Step:
-    kind: str  # place-point | line | circle | intersect | select
-    inputs: tuple[str, ...]
-    output: str
-    selector: str | None = None
-    coords: tuple[str, str] | None = None  # canonical renderings, place-point only
+class Step(_Record):
+    __slots__ = _fields = ("kind", "inputs", "output", "selector", "coords")
+
+    def __init__(
+        self,
+        kind: str,  # place-point | line | circle | intersect | select
+        inputs: tuple[str, ...],
+        output: str,
+        selector: str | None = None,
+        coords: tuple[str, str] | None = None,  # canonical renderings, place-point only
+    ):
+        self._init(kind, inputs, output, selector, coords)
 
 
-@dataclass
-class Trace:
-    steps: list[Step]
-    bindings: dict[str, object]
+class Trace(_Record):
+    """The steps of a construction and the objects they bind; unlike the
+    other value classes it is mutable, so it has no hash."""
+
+    __slots__ = _fields = ("steps", "bindings")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, steps: list[Step], bindings: dict[str, object]):
+        self._init(steps, bindings)
 
 
-@dataclass(frozen=True)
-class Polygon:
-    n: int
-    vertices: tuple[Point, ...]
-    center: Point
+class Polygon(_Record):
+    __slots__ = _fields = ("n", "vertices", "center")
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int, vertices: tuple[Point, ...], center: Point):
+        if n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        if len(self.vertices) != self.n:
-            raise ValueError(f"expected {self.n} vertices, got {len(self.vertices)}")
+        if len(vertices) != n:
+            raise ValueError(f"expected {n} vertices, got {len(vertices)}")
+        self._init(n, vertices, center)
 
 
 # -- selector semantics --------------------------------------------------------

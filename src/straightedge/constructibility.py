@@ -22,10 +22,11 @@ which can also happen in range, to two prime factors above about 10^12.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import gcd, isqrt
+
+from .exactnum import _Record
 
 __all__ = [
     "Refusal",
@@ -62,10 +63,12 @@ _RHO_BUDGET = 1 << 20
 _RHO_BATCH = 64
 
 
-@dataclass(frozen=True)
-class Refusal:
-    kind: str  # "repeated-odd-prime" | "non-fermat-prime"
-    prime: int
+class Refusal(_Record):
+    __slots__ = _fields = ("kind", "prime")
+
+    def __init__(self, kind: str, prime: int):
+        # kind is "repeated-odd-prime" or "non-fermat-prime"
+        self._init(kind, prime)
 
     def __str__(self) -> str:
         if self.kind == "repeated-odd-prime":
@@ -73,13 +76,18 @@ class Refusal:
         return f"{self.prime} is not a Fermat prime"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    n: int
-    constructible: bool
-    two_exponent: int
-    fermat_primes: tuple[int, ...]
-    refusal: Refusal | None = None
+class Verdict(_Record):
+    __slots__ = _fields = ("n", "constructible", "two_exponent", "fermat_primes", "refusal")
+
+    def __init__(
+        self,
+        n: int,
+        constructible: bool,
+        two_exponent: int,
+        fermat_primes: tuple[int, ...],
+        refusal: Refusal | None = None,
+    ):
+        self._init(n, constructible, two_exponent, fermat_primes, refusal)
 
     def certificate_product(self) -> int:
         product = 2**self.two_exponent

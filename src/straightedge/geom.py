@@ -11,10 +11,9 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cmp_to_key
 
-from .exactnum import Constructible, ONE, ZERO, sign, sqrt
+from .exactnum import Constructible, ONE, ZERO, _Record, sign, sqrt
 
 __all__ = [
     "Point",
@@ -29,10 +28,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Point:
-    x: Constructible
-    y: Constructible
+class Point(_Record):
+    __slots__ = _fields = ("x", "y")
+
+    def __init__(self, x: Constructible, y: Constructible):
+        self._init(x, y)
 
     @classmethod
     def of(cls, x, y) -> "Point":
@@ -74,8 +74,7 @@ def _canonical(a, b, c) -> tuple[Constructible, Constructible, Constructible]:
     return a, ZERO if sign(b) == 0 else b, ZERO if sign(c) == 0 else c
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(_Record):
     """Line through two distinct points.
 
     Canonical coefficients (a, b, c) of a*x + b*y = c are derived with the
@@ -83,16 +82,16 @@ class Line:
     same point set exactly when their coefficient triples are equal.
     """
 
-    p: Point
-    q: Point
+    _fields = ("p", "q")
+    __slots__ = _fields + ("_coeffs",)
 
-    def __post_init__(self):
-        if self.p == self.q:
+    def __init__(self, p: Point, q: Point):
+        if p == q:
             raise ValueError("a line needs two distinct points")
-        a = self.q.y - self.p.y
-        b = self.p.x - self.q.x
-        c = a * self.p.x + b * self.p.y
-        object.__setattr__(self, "_coeffs", _canonical(a, b, c))
+        a = q.y - p.y
+        b = p.x - q.x
+        c = a * p.x + b * p.y
+        self._init(p, q, _canonical(a, b, c))
 
     @property
     def coefficients(self) -> tuple[Constructible, Constructible, Constructible]:
@@ -106,17 +105,16 @@ class Line:
         return sign(self.eval_at(pt)) == 0
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(_Record):
     """Compass circle: a center and a point on the circumference."""
 
-    center: Point
-    through: Point
+    _fields = ("center", "through")
+    __slots__ = _fields + ("_radius_sq",)
 
-    def __post_init__(self):
-        if self.center == self.through:
+    def __init__(self, center: Point, through: Point):
+        if center == through:
             raise ValueError("a circle through its own center has zero radius")
-        object.__setattr__(self, "_radius_sq", dist_sq(self.center, self.through))
+        self._init(center, through, dist_sq(center, through))
 
     @property
     def radius_sq(self) -> Constructible:

@@ -11,10 +11,9 @@ identity phi^2 = phi + 1 does all the work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .exactnum import Constructible, approx, sign, sqrt
+from .exactnum import Constructible, _Record, approx, sign, sqrt
 from .reporting import Check, Report
 
 __all__ = [
@@ -31,11 +30,11 @@ __all__ = [
 PHI = (1 + sqrt(5)) / 2
 
 
-@dataclass(frozen=True)
-class Point3:
-    x: Constructible
-    y: Constructible
-    z: Constructible
+class Point3(_Record):
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: Constructible, y: Constructible, z: Constructible):
+        self._init(x, y, z)
 
     def __str__(self) -> str:
         return f"({self.x}, {self.y}, {self.z})"
@@ -64,10 +63,12 @@ def _det3(u: Point3, v: Point3, w: Point3) -> Constructible:
     )
 
 
-@dataclass(frozen=True)
-class GoldenRectangle:
-    corners: tuple[Point3, Point3, Point3, Point3]
-    plane: str  # xy | yz | zx
+class GoldenRectangle(_Record):
+    __slots__ = _fields = ("corners", "plane")
+
+    def __init__(self, corners: tuple[Point3, Point3, Point3, Point3], plane: str):
+        # plane is xy, yz or zx
+        self._init(corners, plane)
 
     def side_lengths_sq(self) -> tuple[Constructible, Constructible]:
         a = dist_sq3(self.corners[0], self.corners[1])
@@ -75,11 +76,16 @@ class GoldenRectangle:
         return (a, b) if sign(a - b) <= 0 else (b, a)
 
 
-@dataclass(frozen=True)
-class IcosaMesh:
-    vertices: tuple[Point3, ...]
-    edges: tuple[tuple[int, int], ...]
-    faces: tuple[tuple[int, int, int], ...]
+class IcosaMesh(_Record):
+    __slots__ = _fields = ("vertices", "edges", "faces")
+
+    def __init__(
+        self,
+        vertices: tuple[Point3, ...],
+        edges: tuple[tuple[int, int], ...],
+        faces: tuple[tuple[int, int, int], ...],
+    ):
+        self._init(vertices, edges, faces)
 
 
 def golden_rectangles() -> tuple[GoldenRectangle, GoldenRectangle, GoldenRectangle]:

@@ -6,23 +6,25 @@ an invalid object instead of refusing to look at it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .exactnum import _Record
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
+class Check(_Record):
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._init(name, passed, detail)
 
     def __str__(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"{mark} {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[Check, ...] = field(default_factory=tuple)
+class Report(_Record):
+    __slots__ = _fields = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...] = ()):
+        self._init(checks)
 
     @property
     def ok(self) -> bool:

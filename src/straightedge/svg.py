@@ -8,29 +8,31 @@ diagrams read in the usual mathematical orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .construct import Polygon, Trace
-from .exactnum import approx, sqrt
+from .exactnum import _Record, approx, sqrt
 from .geom import Circle, Line, Point
 
 __all__ = ["RenderConfig", "render_svg"]
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    width: int = 640
-    height: int = 640
-    margin: int = 40
-    digits: int = 5
-    labels: bool = True
+class RenderConfig(_Record):
+    __slots__ = _fields = ("width", "height", "margin", "digits", "labels")
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0 or self.margin < 0:
+    def __init__(
+        self,
+        width: int = 640,
+        height: int = 640,
+        margin: int = 40,
+        digits: int = 5,
+        labels: bool = True,
+    ):
+        if width <= 0 or height <= 0 or margin < 0:
             raise ValueError("dimensions must be positive")
-        if self.digits < 1:
+        if digits < 1:
             raise ValueError("digits must be >= 1")
+        self._init(width, height, margin, digits, labels)
 
 
 def _fmt(value: Fraction, places: int = 2) -> str:

@@ -16,10 +16,9 @@ each angle is derived once via a fixed route.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Constructible, ONE, ZERO, sign, sqrt
+from .exactnum import Constructible, ONE, ZERO, _Record, sign, sqrt
 
 __all__ = [
     "Angle",
@@ -36,22 +35,21 @@ def _on_grid(degrees: Fraction) -> bool:
     return step > 0 and step.denominator & (step.denominator - 1) == 0
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(_Record):
     """An angle in degrees of the form 3*m / 2**k, restricted to (0, 90]."""
 
-    degrees: Fraction
+    __slots__ = _fields = ("degrees",)
 
-    def __post_init__(self):
-        d = self.degrees
-        if not isinstance(d, Fraction):
+    def __init__(self, degrees: Fraction):
+        if not isinstance(degrees, Fraction):
             raise TypeError("degrees must be a Fraction")
-        if not (0 < d <= 90):
-            raise ValueError(f"{d} degrees is outside (0, 90]")
-        if not _on_grid(d):
+        if not (0 < degrees <= 90):
+            raise ValueError(f"{degrees} degrees is outside (0, 90]")
+        if not _on_grid(degrees):
             raise ValueError(
-                f"{d} degrees is off the constructible grid 3*m/2^k"
+                f"{degrees} degrees is off the constructible grid 3*m/2^k"
             )
+        self._init(degrees)
 
     @classmethod
     def of(cls, value) -> "Angle":

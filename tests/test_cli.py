@@ -125,6 +125,28 @@ class TestDispatch:
             assert f"1..{MAX_DIGITS}" in captured.err
             assert not svg.exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["icosahedron"], ["construct", "4", "--svg", "p4.svg"]],
+        ids=["icosahedron", "construct"],
+    )
+    def test_digits_ceiling_follows_int_str_limit(self, argv, tmp_path):
+        # 640 is the lowest limit Python accepts; the ceiling is 640 - 5.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+
+        def run(*extra):
+            return subprocess.run(
+                [sys.executable, "-m", "straightedge.cli", *argv, *extra],
+                env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            )
+
+        done = run("--digits", "635")
+        assert (done.returncode, done.stderr) == (0, "")
+        done = run("--digits", "636")
+        assert done.returncode == 1
+        assert done.stderr == "error: --digits must be in 1..635, got 636\n"
+        assert "1..635" in run("--help").stdout
+
     def test_verify(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import straightedge
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -68,6 +70,35 @@ def test_constructible_loads_no_geometry():
     assert "straightedge.constructibility" in loaded
     for name in ("construct", "geom", "svg", "icosahedron", "selfcheck", "reporting"):
         assert f"straightedge.{name}" not in loaded
+
+
+# Each cold-start path: the set-up probe of the benchmark, then one run of
+# each CLI command.  "{tmp}" is a fresh directory for the written files.
+COLD_PATHS = {
+    "import": "import straightedge\nstraightedge.sin_cos(45)",
+    **{
+        argv[0]: f"from straightedge import cli\nassert cli.main({argv!r}) == 0"
+        for argv in (
+            ["constructible", "1020"],
+            ["table"],
+            ["trig", "3/4"],
+            ["construct", "5", "--svg", "{tmp}/p.svg", "--json", "{tmp}/p.json"],
+            ["icosahedron", "--obj", "{tmp}/i.obj"],
+            ["verify"],
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("path", sorted(COLD_PATHS))
+def test_cold_path_loads_neither_dataclasses_nor_inspect(path, tmp_path):
+    # `dataclasses` imports `inspect`, and with it `ast`, `dis` and `tokenize`:
+    # about 9 ms of a cold start that no command uses.
+    heavy = run_fresh(
+        COLD_PATHS[path].replace("{tmp}", str(tmp_path))
+        + "\nprint(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))"
+    )
+    assert heavy == []
 
 
 def test_all_is_the_public_surface():
