@@ -31,8 +31,8 @@ from .trig import MAX_TRIG_DEPTH
 # Each command imports the modules it uses inside its function, so that a
 # cold process compiles and loads only those: `constructible` needs none of
 # the geometry, SVG or icosahedron code.  The value classes are plain
-# `__slots__` classes, not dataclasses: `dataclasses` imports `inspect`, and
-# with it `ast`, `dis` and `tokenize`, which no command uses.
+# `__slots__` classes on `exactnum._Record`, so no command loads `inspect`,
+# `ast`, `dis` or `tokenize`, which none of them uses.
 
 __all__ = ["main"]
 

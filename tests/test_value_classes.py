@@ -14,7 +14,10 @@ from straightedge import (
 
 C = Constructible.of
 P = Point.of
-P3 = lambda x, y, z: Point3(C(x), C(y), C(z))  # noqa: E731
+
+
+def P3(x, y, z):
+    return Point3(C(x), C(y), C(z))
 
 
 def _corners(z):
