@@ -73,7 +73,7 @@ def eval_tree_mpf(tree):
 def mpf_of(value: Constructible):
     """Evaluate a tower value in mpmath at the current precision."""
     if value.r is None:
-        return mp.mpf(value.a.numerator) / value.a.denominator
+        return mp.mpf(value.as_fraction().numerator) / value.as_fraction().denominator
     return mpf_of(value.a) + mpf_of(value.b) * mp.sqrt(mpf_of(value.r))
 
 
