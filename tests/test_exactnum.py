@@ -174,6 +174,15 @@ class TestEnclose:
                 scaled = mpf_of(x) * mp.mpf(2) ** k
                 assert lo <= scaled <= hi, str(x)
 
+    def test_repeated_k_matches_fresh_tree(self):
+        # k switches back and forth, so an enclosure kept from an earlier
+        # call is replaced, then asked for again; each reference is a new
+        # tree parsed from the rendering and enclosed once at that k.
+        for x in rendering_battery():
+            text = str(x)
+            for k in (64, 32, 256, 64):
+                assert _enclose(x, k) == _enclose(parse(text), k), (text, k)
+
 
 class TestRendering:
     def test_roundtrip(self):
