@@ -9,8 +9,10 @@ constructible numbers from strictly shallower extensions.
 
 `sign` (and hence equality and ordering) tries a 64-bit integer enclosure
 before recursing on the tree, and only that exact recursion decides a zero;
-`approx` rounds correctly from the same enclosures, refined until they
-decide.  No floating point is used anywhere.
+`approx` rounds correctly from enclosures of the value itself, refined until
+they decide.  Each extension node keeps its enclosure for the last k asked,
+so subtrees shared between values are enclosed once at that k.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -92,7 +94,7 @@ class Constructible:
     Mathematical equality is always decided by ``sign(x - y)``.
     """
 
-    __slots__ = ("a", "b", "r", "_key", "_depth", "_sign", "_hash")
+    __slots__ = ("a", "b", "r", "_key", "_depth", "_sign", "_hash", "_enc", "_root")
 
     def __init__(self, a, b=1, r=None):
         # Internal constructor; use Constructible.of(), arithmetic and sqrt().
@@ -103,6 +105,8 @@ class Constructible:
         self._depth = None
         self._sign = None
         self._hash = None
+        self._enc = None
+        self._root = None
 
     # -- construction -----------------------------------------------------
 
@@ -174,10 +178,16 @@ class Constructible:
         return sign(self - other) >= 0
 
     def __hash__(self) -> int:
-        # Equal values render equal 24-digit decimals (approx is correctly
-        # rounded), so this is consistent with __eq__ between Constructibles.
+        """A rational hashes as its Fraction, as ``==`` with ints and
+        Fractions requires; an extension node, as its correctly rounded
+        24-place decimal.  Known limit: a degenerate chain equal to a
+        rational, such as ``sqrt(6) - sqrt(2)*sqrt(3) + 1``, is not
+        ``is_rational`` and does not hash as that rational."""
         if self._hash is None:
-            self._hash = hash(("Constructible", approx(self, 24)))
+            if self.r is not None:
+                self._hash = hash(("Constructible", approx(self, 24)))
+            else:
+                self._hash = hash(self.a) if self.b == 1 else hash(Fraction(self.a, self.b))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -334,16 +344,16 @@ def _radicand_order(x: Constructible) -> tuple:
 # -- tower arithmetic ---------------------------------------------------------
 #
 # A binary op splits both operands at the higher of their top radicands r
-# (in _radicand_order): x = a + b*sqrt(r), with b = ZERO when x does not
-# reach r.  It recurses on the parts through the ordinary operators and
-# rejoins them as lo + hi*sqrt(r), or as lo alone when sign(hi) == 0.  A
-# node's coefficients and radicand all sort before its own radicand, so the
-# parts live in strictly shallower towers and the recursion ends at
-# rationals.
+# (in _radicand_order, rendered only when the two are distinct objects):
+# x = a + b*sqrt(r), with b = ZERO when x does not reach r.  It recurses on
+# the parts through the ordinary operators and rejoins them as
+# lo + hi*sqrt(r), or as lo alone when sign(hi) == 0.  A node's coefficients
+# and radicand all sort before its own radicand, so the parts live in
+# strictly shallower towers and the recursion ends at rationals.
 
 
 def _split(x: Constructible, r: Constructible) -> tuple:
-    if x.r is not None and _render(x.r) == _render(r):
+    if x.r is r or (x.r is not None and _render(x.r) == _render(r)):
         return x.a, x.b
     return x, ZERO
 
@@ -360,7 +370,12 @@ def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
         return x
     if x.r is None and x.a == 0:
         return -y if op == "sub" else y if op == "add" else ZERO
-    r = max((t for t in (x.r, y.r) if t is not None), key=_radicand_order)
+    if x.r is None or x.r is y.r:
+        r = y.r
+    elif y.r is None:
+        r = x.r
+    else:
+        r = max(x.r, y.r, key=_radicand_order)
     a1, b1 = _split(x, r)
     a2, b2 = _split(y, r)
     if op == "add":
@@ -551,35 +566,53 @@ def sqrt(x) -> Constructible:
 
 def _enclose(x: Constructible, k: int) -> tuple[int, int]:
     """Integers ``lo <= x*2**k <= hi``, every node bounded at the same k
-    and rounded outward by floor and ceiling division, shifts and isqrt."""
+    and rounded outward by floor and ceiling division, shifts and isqrt.
+    An extension node keeps its bounds for the last k asked (nodes are
+    immutable), so a subtree shared by many values is walked once per k."""
     if x.r is None:
         num, den = x.a << k, x.b
         lo = num // den
         return lo, lo + (lo * den != num)
-    la, ha = _enclose(x.a, k)
-    lb, hb = _enclose(x.b, k)
-    lr, hr = _enclose(x.r, k)
-    ls = isqrt(max(lr, 0) << k)
-    hr <<= k
-    hs = isqrt(hr)
-    hs += hs * hs < hr
-    products = (lb * ls, lb * hs, hb * ls, hb * hs)
-    return la + (min(products) >> k), ha - (-max(products) >> k)
+    e = x._enc
+    if e is None or e[0] != k:
+        la, ha = _enclose(x.a, k)
+        lb, hb = _enclose(x.b, k)
+        ls, hs = _enclose_root(x.r, k)
+        products = (lb * ls, lb * hs, hb * ls, hb * hs)
+        e = x._enc = (k, la + (min(products) >> k), ha - (-max(products) >> k))
+    return e[1], e[2]
 
 
-def _floor(x: Constructible) -> int:
-    """floor(x) from enclosures at doubling k.  One narrower than 2**-(k//2)
-    that still straddles an integer n is settled by exact sign(x - n)."""
+def _enclose_root(r: Constructible, k: int) -> tuple[int, int]:
+    """Integers ``lo <= sqrt(r)*2**k <= hi``, kept on ``r`` for one k."""
+    e = r._root
+    if e is None or e[0] != k:
+        lr, hr = _enclose(r, k)
+        hr <<= k
+        hs = isqrt(hr)
+        e = r._root = (k, isqrt(max(lr, 0) << k), hs + (hs * hs < hr))
+    return e[1], e[2]
+
+
+def _floor(x: Constructible, s: int, n: int) -> int:
+    """floor(|x|*n) for ``x`` of sign ``s`` and an int ``n > 0``.
+
+    The enclosure of ``x`` itself, at k from ``32 + n.bit_length()`` and
+    doubling, is multiplied by n.  One narrower than 2**(k//2) that still
+    straddles an integer m is settled by exact ``sign(x - s*m/n)``."""
+    if s == 0:
+        return 0
     if x.r is None:
-        return x.a // x.b
-    k = 32
+        return s * x.a * n // x.b
+    k = 32 + n.bit_length()
     while True:
         lo, hi = _enclose(x, k)
-        n = hi >> k
-        if lo >> k == n:
-            return n
+        lo, hi = (lo * n, hi * n) if s > 0 else (-hi * n, -lo * n)
+        m = hi >> k
+        if lo >> k == m:
+            return m
         if hi - lo < 1 << (k // 2):
-            return n - (sign(x - n) < 0)
+            return m - (s * sign(x - _mul_q(s * m, 1, 1, n)) < 0)
         k *= 2
 
 
@@ -587,14 +620,15 @@ def approx(x, digits: int) -> str:
     """Correctly rounded decimal string of ``x`` with ``digits`` places.
 
     The absolute error is below 10**-digits; exact ties round away from
-    zero.  Digits come from ``floor(2*|x|*10**digits)``, decided by integer
-    enclosures, so they depend only on the value, never on its representation.
+    zero.  Digits come from ``floor(2*|x|*10**digits)``, read from integer
+    enclosures of ``x`` itself (no scaled copy of the tree is built), so
+    they depend only on the value, never on its representation.
     """
     x = Constructible.of(x)
     if digits < 1:
         raise ValueError("digits must be >= 1")
     s = sign(x)
-    n = s * ((_floor(_scaled(x, 2 * s * 10**digits)) + 1) // 2)
+    n = s * ((_floor(x, s, 2 * 10**digits) + 1) // 2)
     body = str(abs(n)).rjust(digits + 1, "0")
     sign_str = "-" if n < 0 else ""
     return f"{sign_str}{body[:-digits]}.{body[-digits:]}"

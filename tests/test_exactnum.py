@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import eval_tree_exact, eval_tree_mpf, mpf_of, oracle_sign, random_tree, sample_values
+from straightedge import exactnum
 from straightedge.exactnum import (
     Constructible,
     ONE,
@@ -152,6 +153,30 @@ class TestApprox:
         assert approx(masked, 2) == approx(C(Fraction(1, 8)), 2)
         assert approx(-masked, 2) == approx(C(Fraction(-1, 8)), 2)
 
+    def test_zero_extension_node(self):
+        zero = sqrt(6) - sqrt(2) * sqrt(3)
+        assert not zero.is_rational and sign(zero) == 0
+        assert approx(zero, 1) == "0.0"
+        assert approx(zero, 30) == "0." + "0" * 30
+
+    def test_negative_values_against_oracle(self):
+        with mp.workdps(60):
+            for x in sample_values(200, seed=5):
+                if sign(x) < 0 and not x.is_rational:
+                    got = approx(x, 20)
+                    assert got == "-" + approx(-x, 20), str(x)
+                    assert abs(mp.mpf(got) - mpf_of(x)) <= mp.mpf(10) ** -20 / 2, str(x)
+
+    def test_approx_builds_no_scaled_tree(self, monkeypatch):
+        values = [(1 - sqrt(5)) / 2, sqrt(10 + 2 * sqrt(5)) / 4, sqrt(2) * sqrt(3) - sqrt(7)]
+        want = [approx(x, d) for x in values for d in (1, 6, 30)]
+
+        def refuse(*args):
+            raise AssertionError("approx built a scaled copy of the tree")
+
+        monkeypatch.setattr(exactnum, "_scaled", refuse)
+        assert [approx(x, d) for x in values for d in (1, 6, 30)] == want
+
     def test_long_precision_against_oracle(self):
         mp.dps = 80
         value = sqrt(10 + 2 * sqrt(5)) / 4
@@ -182,6 +207,24 @@ class TestEnclose:
             text = str(x)
             for k in (64, 32, 256, 64):
                 assert _enclose(x, k) == _enclose(parse(text), k), (text, k)
+
+
+class TestHash:
+    def test_rationals_hash_as_int_and_fraction(self):
+        assert C(1) in {1}
+        assert C(Fraction(1, 2)) in {Fraction(1, 2)}
+        assert hash(C(-3)) == hash(-3)
+        assert {Fraction(-7, 3): "x"}[C(Fraction(-7, 3))] == "x"
+
+    def test_equal_values_in_different_towers_hash_equal(self):
+        assert hash(sqrt(2) * sqrt(3)) == hash(sqrt(6))
+        assert hash((sqrt(5) - 1) / 2) == hash(2 / (1 + sqrt(5)))
+
+    def test_degenerate_chain_is_a_known_limit(self):
+        # equal to 1 but an extension node, so it hashes its decimal, not 1
+        one = sqrt(6) - sqrt(2) * sqrt(3) + 1
+        assert not one.is_rational and one == 1
+        assert hash(one) != hash(1)
 
 
 class TestRendering:

@@ -59,6 +59,7 @@ class TestLeafAgainstFraction:
         assert (C(p) == C(q)) == (p == q)
         assert (C(p) < C(q)) == (p < q)
         assert C(p) == p
+        assert hash(C(p)) == hash(p)
 
     @settings(max_examples=300, deadline=None)
     @given(RATIONALS)
