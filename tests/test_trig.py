@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import time
 from fractions import Fraction
@@ -105,6 +106,32 @@ class TestRoute:
             derived[3 * m] = len(empty_memo) - seeds
         assert max(derived.values()) <= 8, derived  # stepping by 3 took 17 at 87
         assert derived[36] == derived[60] == derived[90] == 1
+
+    def test_no_node_outlives_the_memo_without_the_cyclic_gc(self, empty_memo):
+        # A benchmark job starts from an empty memo; that holds only if every
+        # tower node a job made is freed by reference counting alone.
+        def live_nodes():
+            return sum(type(o) is Constructible for o in gc.get_objects())
+
+        def work():
+            for deg in (Fraction(3, 8), Fraction(261, 4), Fraction(33)):
+                s, c = sin_cos(deg)
+                t = tan(deg)
+                for x in (s, c, t):
+                    approx(x, 30)
+                    hash(x)
+                assert s != c and s * s + c * c == 1
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            baseline = live_nodes()
+            work()
+            empty_memo.clear()
+            assert live_nodes() == baseline
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_integer_angles_against_oracle(self):
         with mp.workdps(60):
