@@ -25,6 +25,7 @@ from straightedge.trig import sin_cos
 C = Constructible.of
 RENDERINGS = Path(__file__).parent / "golden" / "renderings.txt"
 APPROX = Path(__file__).parent / "golden" / "approx.txt"
+OPS = Path(__file__).parent / "golden" / "ops.txt"
 
 
 class TestRationalArithmetic:
@@ -355,6 +356,47 @@ class TestOldApproxDifferential:
     def test_approx_matches_fraction_interval_path(self):
         want = APPROX.read_text().splitlines()
         got = approx_battery()
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
+
+
+def ops_battery() -> list[str]:
+    """Lines frozen in golden/ops.txt: ``i op j = str(x op y)`` for pairs of
+    rendering_battery() values, by their index, and op in ``+ - * /``.
+
+    The file was written by the arithmetic that dispatched every part of a
+    split operand through the public operators.  It is the differential
+    check of the typed kernels against that path, so it must never be
+    regenerated from the current code.  Besides a seeded sample of pairs it
+    pairs pure radicals ``(0 + b*sqrt(r))`` with each other, which takes the
+    two-product form of ``*``, and the degenerate chains (``s2*s3 + s6``,
+    ``wide*narrow``) with the sample, which takes the degenerate branch of
+    ``/`` when such a chain is the divisor.
+    """
+    values = rendering_battery()
+    rng = random.Random(20261019)
+    n = len(values)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(250)]
+    pure = [i for i, x in enumerate(values) if not x.is_rational and x.a == 0]
+    pairs += [(rng.choice(pure), rng.choice(pure)) for _ in range(40)]
+    for d in range(1000, 1005):  # the degenerate chains, after the sample
+        for _ in range(6):
+            j = rng.randrange(n)
+            pairs += [(d, j), (j, d)]
+    lines = []
+    for i, j in pairs:
+        x, y = values[i], values[j]
+        lines += [f"{i} + {j} = {x + y}", f"{i} - {j} = {x - y}", f"{i} * {j} = {x * y}"]
+        if y != 0:
+            lines.append(f"{i} / {j} = {x / y}")
+    return lines
+
+
+class TestOpsDifferential:
+    def test_binary_ops_match_dispatch_path(self):
+        want = OPS.read_text().splitlines()
+        got = ops_battery()
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"line {i + 1}"
