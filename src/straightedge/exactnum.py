@@ -7,12 +7,14 @@ recursive quadratic extensions: a number is either a plain rational or
 ``a + b*sqrt(r)`` where ``a``, ``b`` and the radicand ``r`` are themselves
 constructible numbers from strictly shallower extensions.
 
-`sign` (and hence equality and ordering) tries a 64-bit integer enclosure
-before recursing on the tree, and only that exact recursion decides a zero;
-`approx` rounds correctly from enclosures of the value itself, refined until
-they decide.  Each extension node keeps its enclosure for the last k asked,
-so subtrees shared between values are enclosed once at that k.  No floating
-point is used anywhere.
+Operands are coerced once, where they enter (the operators, `sign`, `sqrt`,
+`approx`, `parse`); all recursion below runs on private typed kernels with
+no operator dispatch.  `sign` (and hence equality and ordering) tries a
+64-bit integer enclosure before recursing on the tree, and only that exact
+recursion decides a zero; `approx` rounds correctly from enclosures of the
+value itself, refined until they decide.  Each extension node keeps its
+enclosure for the last k asked, so subtrees shared between values are
+enclosed once at that k.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -112,10 +114,9 @@ class Constructible:
 
     @classmethod
     def of(cls, x) -> "Constructible":
-        if isinstance(x, Constructible):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Constructible(x.numerator, x.denominator)
+        y = _coerce(x)
+        if y is not None:
+            return y
         if isinstance(x, str):
             return parse(x)
         if isinstance(x, float):
@@ -151,31 +152,23 @@ class Constructible:
             return self.a == other.a and self.b == other.b
         if _render(self) == _render(other):
             return True
-        return sign(self - other) == 0
+        return _sign(_sub(self, other)) == 0
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return sign(self - other) < 0
+        return NotImplemented if other is None else _sign(_sub(self, other)) < 0
 
     def __le__(self, other) -> bool:
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return sign(self - other) <= 0
+        return NotImplemented if other is None else _sign(_sub(self, other)) <= 0
 
     def __gt__(self, other) -> bool:
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return sign(self - other) > 0
+        return NotImplemented if other is None else _sign(_sub(self, other)) > 0
 
     def __ge__(self, other) -> bool:
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return sign(self - other) >= 0
+        return NotImplemented if other is None else _sign(_sub(self, other)) >= 0
 
     def __hash__(self) -> int:
         """A rational hashes as its Fraction, as ``==`` with ints and
@@ -191,81 +184,55 @@ class Constructible:
         return self._hash
 
     def __bool__(self) -> bool:
-        return sign(self) != 0
+        return _sign(self) != 0
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic: coerce once, then the kernels below the class -----------
 
     def __add__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.r is None and other.r is None:
-            return _add_q(self.a, self.b, other.a, other.b)
-        return _tower_binary(self, other, "add")
+        return NotImplemented if other is None else _add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.r is None and other.r is None:
-            return _add_q(self.a, self.b, -other.a, other.b)
-        return _tower_binary(self, other, "sub")
+        return NotImplemented if other is None else _sub(self, other)
 
     def __rsub__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+        return NotImplemented if other is None else _sub(other, self)
 
     def __neg__(self):
-        return Constructible(-self.a, self.b if self.r is None else -self.b, self.r)
+        return _neg(self)
 
     def __pos__(self):
         return self
 
     def __abs__(self):
-        return -self if sign(self) < 0 else self
+        return _neg(self) if _sign(self) < 0 else self
 
     def __mul__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.r is None:
-            return _scaled(other, self.a, self.b)
-        if other.r is None:
-            return _scaled(self, other.a, other.b)
-        return _tower_binary(self, other, "mul")
+        return NotImplemented if other is None else _mul(self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        s = sign(other)
-        if s == 0:
-            raise ZeroDivisionError("division by a zero constructible number")
-        if other.r is None:  # times the reciprocal, its sign on the numerator
-            return _scaled(self, s * other.b, s * other.a)
-        return _tower_binary(self, other, "div")
+        return NotImplemented if other is None else _div(self, other)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
+        return NotImplemented if other is None else _div(other, self)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = ONE
-        base = self
+        result, base = ONE, self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = _mul(result, base)
+            base = _mul(base, base) if n > 1 else base
             n >>= 1
         return result
 
@@ -330,7 +297,7 @@ def _render(x: Constructible) -> str:
         else:
             b = x.b
             if b.r is None and b.a < 0:
-                op, bs = " - ", _render(-b)
+                op, bs = " - ", _render(_neg(b))
             else:
                 op, bs = " + ", _render(b)
             x._key = f"({_render(x.a)}{op}{bs}*sqrt({_render(x.r)}))"
@@ -343,13 +310,54 @@ def _radicand_order(x: Constructible) -> tuple:
 
 # -- tower arithmetic ---------------------------------------------------------
 #
-# A binary op splits both operands at the higher of their top radicands r
-# (in _radicand_order, rendered only when the two are distinct objects):
-# x = a + b*sqrt(r), with b = ZERO when x does not reach r.  It recurses on
-# the parts through the ordinary operators and rejoins them as
-# lo + hi*sqrt(r), or as lo alone when sign(hi) == 0.  A node's coefficients
-# and radicand all sort before its own radicand, so the parts live in
-# strictly shallower towers and the recursion ends at rationals.
+# Operands are coerced once, by the dunders and public functions; below them
+# the kernels _add, _sub, _mul, _div, _neg and _sign take Constructibles, hold
+# the rational fast paths and call _tower_binary otherwise.  It splits both
+# operands at the higher of their top radicands r (in _radicand_order,
+# rendered only when the two are distinct objects): x = a + b*sqrt(r), with
+# b = ZERO when x does not reach r.  It recurses on the parts through the
+# kernels and rejoins them as lo + hi*sqrt(r), or as lo alone when hi is 0.
+# A node's coefficients and radicand all sort before its own radicand, so the
+# parts live in strictly shallower towers and the recursion ends at rationals.
+
+
+def _add(x: Constructible, y: Constructible) -> Constructible:
+    if x.r is None and y.r is None:
+        return _add_q(x.a, x.b, y.a, y.b)
+    return _tower_binary(x, y, "add")
+
+
+def _sub(x: Constructible, y: Constructible) -> Constructible:
+    if x.r is None and y.r is None:
+        return _add_q(x.a, x.b, -y.a, y.b)
+    return _tower_binary(x, y, "sub")
+
+
+def _mul(x: Constructible, y: Constructible) -> Constructible:
+    if x.r is None:
+        return _scaled(y, x.a, x.b)
+    if y.r is None:
+        return _scaled(x, y.a, y.b)
+    return _tower_binary(x, y, "mul")
+
+
+def _div(x: Constructible, y: Constructible) -> Constructible:
+    s = _sign(y)
+    if s == 0:
+        raise ZeroDivisionError("division by a zero constructible number")
+    if y.r is None:  # times the reciprocal, its sign on the numerator
+        return _scaled(x, s * y.b, s * y.a)
+    return _tower_binary(x, y, "div")
+
+
+def _neg(x: Constructible) -> Constructible:
+    if x.r is None:
+        return Constructible(-x.a, x.b)
+    return Constructible(_neg(x.a), _neg(x.b), x.r)
+
+
+def _norm(a: Constructible, b: Constructible, r: Constructible) -> Constructible:
+    return _sub(_mul(a, a), _mul(_mul(b, b), r))  # of a + b*sqrt(r): a^2 - b^2*r
 
 
 def _split(x: Constructible, r: Constructible) -> tuple:
@@ -359,7 +367,7 @@ def _split(x: Constructible, r: Constructible) -> tuple:
 
 
 def _join(lo: Constructible, hi: Constructible, r: Constructible) -> Constructible:
-    if sign(hi) == 0:
+    if (hi.a == 0) if hi.r is None else (_sign(hi) == 0):
         return lo
     return Constructible(lo, hi, r)
 
@@ -369,7 +377,7 @@ def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
     if y.r is None and y.a == 0:
         return x
     if x.r is None and x.a == 0:
-        return -y if op == "sub" else y if op == "add" else ZERO
+        return _neg(y) if op == "sub" else y if op == "add" else ZERO
     if x.r is None or x.r is y.r:
         r = y.r
     elif y.r is None:
@@ -379,23 +387,29 @@ def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
     a1, b1 = _split(x, r)
     a2, b2 = _split(y, r)
     if op == "add":
-        return _join(a1 + a2, b1 + b2, r)
+        return _join(_add(a1, a2), _add(b1, b2), r)
     if op == "sub":
-        return _join(a1 - a2, b1 - b2, r)
+        return _join(_sub(a1, a2), _sub(b1, b2), r)
     if op == "mul":
         if b1 is ZERO or b2 is ZERO:  # one side lacks sqrt(r): two products
-            return _join(a1 * a2, a1 * b2 + b1 * a2, r)
-        lo = a1 * a2
-        cross = b1 * b2
-        return _join(lo + r * cross, (a1 + b1) * (a2 + b2) - lo - cross, r)
-    # div; the caller already rejected a zero divisor
+            return _join(_mul(a1, a2), _add(_mul(a1, b2), _mul(b1, a2)), r)
+        if (a1.r is None and a1.a == 0) or (a2.r is None and a2.a == 0):
+            # a pure radical b*sqrt(r) on one side: two products again
+            return _join(_mul(r, _mul(b1, b2)), _add(_mul(a1, b2), _mul(b1, a2)), r)
+        lo = _mul(a1, a2)
+        cross = _mul(b1, b2)
+        hi = _sub(_sub(_mul(_add(a1, b1), _add(a2, b2)), lo), cross)
+        return _join(_add(lo, _mul(r, cross)), hi, r)
+    # div; _div already rejected a zero divisor
     if b2 is ZERO:
-        return _join(a1 / y, b1 / y, r)
-    den = a2 * a2 - b2 * b2 * r
-    if sign(den) == 0:
+        return _join(_div(a1, y), _div(b1, y), r)
+    den = _norm(a2, b2, r)
+    if _sign(den) == 0:
         # Degenerate chain: a2 - b2*sqrt(r) = 0, so the divisor equals 2*a2.
-        return _join(a1 / (2 * a2), b1 / (2 * a2), r)
-    return _join((a1 * a2 - r * (b1 * b2)) / den, (b1 * a2 - a1 * b2) / den, r)
+        y = _scaled(a2, 2)
+        return _join(_div(a1, y), _div(b1, y), r)
+    lo = _sub(_mul(a1, a2), _mul(r, _mul(b1, b2)))
+    return _join(_div(lo, den), _div(_sub(_mul(b1, a2), _mul(a1, b2)), den), r)
 
 
 def _scaled(x: Constructible, n: int, d: int = 1) -> Constructible:
@@ -419,22 +433,21 @@ def sign(x) -> int:
     strictly shrinks the set of radicands involved, so the recursion always
     terminates.  Only the recursion decides a zero.
     """
-    x = Constructible.of(x)
+    return _sign(Constructible.of(x))
+
+
+def _sign(x: Constructible) -> int:
     if x._sign is None:
         if x.r is None:
             x._sign = (x.a > 0) - (x.a < 0)
         else:
-            sa = sign(x.a)
-            sb = sign(x.b)
-            if sb == 0:
-                x._sign = sa
-            elif sa == 0:
-                x._sign = sb
-            elif sa == sb:
-                x._sign = sa
+            sa = _sign(x.a)
+            sb = _sign(x.b)
+            if sa * sb >= 0:
+                x._sign = sa or sb
             else:
                 lo, hi = _enclose(x, 64)
-                x._sign = (lo > 0) - (hi < 0) or sa * sign(x.a * x.a - x.b * x.b * x.r)
+                x._sign = (lo > 0) - (hi < 0) or sa * _sign(_norm(x.a, x.b, x.r))
     return x._sign
 
 
@@ -466,25 +479,17 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return (inner, outer * s) if s * s == n else (inner * n, outer)
 
 
-def _coefficient_leaves(x: Constructible, acc: list) -> None:
-    if x.r is None:
-        acc.append(x)
-    else:
-        _coefficient_leaves(x.a, acc)
-        _coefficient_leaves(x.b, acc)
-
-
 def _content(x: Constructible) -> tuple[int, int]:
     """(num, den) in lowest terms: the gcd of the coefficient leaves'
     numerators over the lcm of their denominators."""
-    leaves: list = []
-    _coefficient_leaves(x, leaves)
-    num = 0
-    den = 1
-    for f in leaves:
-        if f.a:
-            num = gcd(num, f.a)
-            den = lcm(den, f.b)
+    num, den = 0, 1
+    stack = [x]
+    while stack:
+        f = stack.pop()
+        if f.r is not None:
+            stack += (f.a, f.b)
+        elif f.a:
+            num, den = gcd(num, f.a), lcm(den, f.b)
     return num, den
 
 
@@ -497,24 +502,24 @@ def _sqrt_within(x: Constructible):
     shallower, so the search terminates.  This keeps radicands that are
     perfect squares inside their own tower from ever being adjoined.
     """
-    if sign(x) < 0:
+    if _sign(x) < 0:
         return None
     if x.r is None:
         sn, sd = isqrt(x.a), isqrt(x.b)
         return Constructible(sn, sd) if sn * sn == x.a and sd * sd == x.b else None
     a, b, r = x.a, x.b, x.r
-    s = _sqrt_within(a * a - b * b * r)
+    s = _sqrt_within(_norm(a, b, r))
     if s is None:
         return None
-    for c_sq in ((a + s) / 2, (a - s) / 2):
-        if sign(c_sq) <= 0:
+    for c_sq in (_scaled(_add(a, s), 1, 2), _scaled(_sub(a, s), 1, 2)):
+        if _sign(c_sq) <= 0:
             continue
         c = _sqrt_within(c_sq)
-        if c is None or sign(c) == 0:
+        if c is None or _sign(c) == 0:
             continue
-        d = b / (2 * c)
-        root = Constructible(c, d, r) if sign(d) != 0 else c
-        return root if sign(root) >= 0 else -root
+        d = _div(b, _scaled(c, 2))
+        root = Constructible(c, d, r) if _sign(d) != 0 else c
+        return root if _sign(root) >= 0 else _neg(root)
     return None
 
 
@@ -529,7 +534,7 @@ def sqrt(x) -> Constructible:
     solution.  Deeper denestings are intentionally not attempted.
     """
     x = Constructible.of(x)
-    s = sign(x)
+    s = _sign(x)
     if s < 0:
         raise ValueError("square root of a negative constructible number")
     if s == 0:
@@ -542,12 +547,7 @@ def sqrt(x) -> Constructible:
     inner, outer = _squarefree_split(num * den)
     coef = _mul_q(outer, 1, 1, den)
     radicand = _scaled(primitive, inner) if inner != 1 else primitive
-    if (
-        radicand.r is not None
-        and radicand.a.r is None
-        and radicand.b.r is None
-        and radicand.r.r is None
-    ):
+    if radicand.r is not None and all(p.r is None for p in (radicand.a, radicand.b, radicand.r)):
         # Integers: a primitive radicand's coefficient leaves are, and so
         # are those of every radicand, rr included, since sqrt made each one.
         a, b, rr = radicand.a.a, radicand.b.a, radicand.r.a
@@ -556,7 +556,7 @@ def sqrt(x) -> Constructible:
             e = isqrt(delta)
             if e * e == delta and a >= e:  # u, v = (a +- e)/2 >= 0
                 root_v = sqrt(_mul_q(a - e, 1, 1, 2))
-                cand = sqrt(_mul_q(a + e, 1, 1, 2)) + (root_v if b > 0 else -root_v)
+                cand = _add(sqrt(_mul_q(a + e, 1, 1, 2)), root_v if b > 0 else _neg(root_v))
                 return _scaled(cand, coef.a, coef.b)
     return Constructible(ZERO, coef, radicand)
 
@@ -612,7 +612,7 @@ def _floor(x: Constructible, s: int, n: int) -> int:
         if lo >> k == m:
             return m
         if hi - lo < 1 << (k // 2):
-            return m - (s * sign(x - _mul_q(s * m, 1, 1, n)) < 0)
+            return m - (s * _sign(_sub(x, _mul_q(s * m, 1, 1, n))) < 0)
         k *= 2
 
 
@@ -627,7 +627,7 @@ def approx(x, digits: int) -> str:
     x = Constructible.of(x)
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    s = sign(x)
+    s = _sign(x)
     n = s * ((_floor(x, s, 2 * 10**digits) + 1) // 2)
     body = str(abs(n)).rjust(digits + 1, "0")
     sign_str = "-" if n < 0 else ""
@@ -671,8 +671,8 @@ def _parse_value(s: str) -> tuple[Constructible, str]:
         r, s = _parse_value(s)
         s = _expect(s, ")")
         s = _expect(s, ")")
-        term = b * sqrt(r)
-        return (a - term if negative else a + term), s
+        term = _mul(b, sqrt(r))
+        return (_sub(a, term) if negative else _add(a, term)), s
     m = _NUMBER.match(s)
     if not m:
         raise ValueError(f"expected a rational at {s[:20]!r}")
