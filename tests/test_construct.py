@@ -18,10 +18,11 @@ from straightedge.construct import (
 )
 from straightedge.exactnum import Constructible, sign, sqrt
 from straightedge.geom import Point, dist_sq
-from straightedge.svg import render_svg
+from straightedge.svg import RenderConfig, render_svg
 from straightedge.trig import point_on_circle, side_length
 
 DOUBLING = Path(__file__).parent / "golden" / "doubling.txt"
+OUTPUTS = Path(__file__).parent / "golden" / "outputs.txt"
 
 
 def vertex_set_equal(ps, qs) -> bool:
@@ -257,6 +258,32 @@ class TestDoublingGolden:
     def test_outputs_and_doubled_vertices_match(self):
         want = DOUBLING.read_text().splitlines()
         got = doubling_lines()
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
+
+
+def output_lines() -> list[str]:
+    """Lines frozen in golden/outputs.txt: ``json n <sha>`` for the trace of
+    every supported polygon, then ``svg n d labels|no-labels <sha>`` for its
+    SVG with the polygon at 1, 5 and 9 digits, labels on and off.  The file
+    pins every construct output byte for byte and is never regenerated."""
+    lines = []
+    for n in SUPPORTED_POLYGONS:
+        polygon, trace = construct_polygon(n)
+        lines.append(f"json {n} {_sha256(trace_to_json(trace))}")
+        for digits in (1, 5, 9):
+            for labels in (True, False):
+                svg = render_svg(trace, RenderConfig(digits=digits, labels=labels), polygon=polygon)
+                tag = "labels" if labels else "no-labels"
+                lines.append(f"svg {n} {digits} {tag} {_sha256(svg)}")
+    return lines
+
+
+class TestOutputGolden:
+    def test_trace_json_and_svg_match(self):
+        want = OUTPUTS.read_text().splitlines()
+        got = output_lines()
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"line {i + 1}"
