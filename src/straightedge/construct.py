@@ -20,7 +20,7 @@ import json
 import re
 from functools import cmp_to_key
 
-from .exactnum import Constructible, ONE, ZERO, _Record, parse, sign
+from .exactnum import ONE, ZERO, _Record, parse, sign
 from .geom import (
     Circle,
     Line,
@@ -93,6 +93,7 @@ class Polygon(_Record):
 
 # -- selector semantics --------------------------------------------------------
 
+_SELECTORS = ("lex-min", "lex-max", "positive-y", "negative-y")
 _ON_SEGMENT = re.compile(r"on-segment\(([^,()]+),([^,()]+)\)")
 
 
@@ -103,8 +104,9 @@ def _between(value, lo, hi) -> bool:
 
 
 def _apply_selector(
-    candidates: tuple[Point, ...], selector: str, bindings: dict
+    selector: str, candidates: tuple[Point, ...], a: Point | None = None, b: Point | None = None
 ) -> Point:
+    # a and b are the endpoints of an on-segment selector
     if selector == "lex-min":
         return candidates[0]
     if selector == "lex-max":
@@ -114,11 +116,6 @@ def _apply_selector(
     elif selector == "negative-y":
         matches = [p for p in candidates if sign(p.y) < 0]
     else:
-        m = _ON_SEGMENT.fullmatch(selector)
-        if not m:
-            raise ValueError(f"unknown selector {selector!r}")
-        a = bindings[m.group(1)]
-        b = bindings[m.group(2)]
         matches = [
             p
             for p in candidates
@@ -132,18 +129,59 @@ def _apply_selector(
 
 
 def _intersect_objects(o1, o2):
-    if isinstance(o1, Line) and isinstance(o2, Line):
-        pt = intersect_lines(o1, o2)
-        if pt is None:
-            raise ValueError("parallel lines do not intersect")
-        return pt
-    if isinstance(o1, Line) and isinstance(o2, Circle):
-        return tuple(intersect_line_circle(o1, o2))
-    if isinstance(o1, Circle) and isinstance(o2, Line):
-        return tuple(intersect_line_circle(o2, o1))
     if isinstance(o1, Circle) and isinstance(o2, Circle):
         return tuple(intersect_circles(o1, o2))
-    raise TypeError("can only intersect lines and circles")
+    if isinstance(o1, Circle):
+        o1, o2 = o2, o1  # the line first
+    if isinstance(o2, Circle):
+        return tuple(intersect_line_circle(o1, o2))
+    pt = intersect_lines(o1, o2)
+    if pt is None:
+        raise ValueError("parallel lines do not intersect")
+    return pt
+
+
+# The class of each input, by step kind.
+_INPUTS = {"place-point": (), "line": (Point, Point), "circle": (Point, Point),
+           "intersect": ((Line, Circle), (Line, Circle)), "select": (tuple,)}
+
+
+def _evaluate(step: Step, bindings: dict):
+    """The object ``step`` constructs from the objects bound to its inputs.
+
+    The step may come from outside the program, so its kind, the number and
+    class of its inputs and the binding of every label it names are checked
+    first; a malformed step raises ValueError.
+    """
+    where = f"step {step.output!r} ({step.kind})"
+    if step.kind not in _INPUTS:
+        raise ValueError(f"{where}: unknown step kind")
+    labels, classes = list(step.inputs), _INPUTS[step.kind]
+    if len(labels) != len(classes):
+        raise ValueError(f"{where}: takes {len(classes)} inputs, got {len(labels)}")
+    if step.kind == "select" and step.selector not in _SELECTORS:
+        m = _ON_SEGMENT.fullmatch(str(step.selector))
+        if not m:
+            raise ValueError(f"{where}: unknown selector {step.selector!r}")
+        labels += m.groups()
+        classes += (Point, Point)
+    for label, cls in zip(labels, classes):
+        if label not in bindings:
+            raise ValueError(f"{where}: unbound label {label!r}")
+        if not isinstance(bindings[label], cls):
+            raise ValueError(f"{where}: {label!r} is a {type(bindings[label]).__name__}")
+    args = [bindings[label] for label in labels]
+    if step.kind == "place-point":
+        if step.coords is None:
+            raise ValueError(f"{where}: no coords")
+        return Point(parse(step.coords[0]), parse(step.coords[1]))
+    if step.kind == "line":
+        return Line(*args)
+    if step.kind == "circle":
+        return Circle(*args)
+    if step.kind == "intersect":
+        return _intersect_objects(*args)
+    return _apply_selector(step.selector, *args)
 
 
 # -- trace building ------------------------------------------------------------
@@ -154,38 +192,28 @@ class _Builder:
         self.steps: list[Step] = []
         self.bindings: dict[str, object] = {}
 
-    def _bind(self, step: Step, obj) -> None:
+    def run(self, step: Step):
         if step.output in self.bindings:
             raise ValueError(f"duplicate label {step.output!r}")
+        obj = _evaluate(step, self.bindings)
         self.steps.append(step)
         self.bindings[step.output] = obj
+        return obj
 
     def place(self, label: str, x, y) -> Point:
-        pt = Point(Constructible.of(x), Constructible.of(y))
-        self._bind(
-            Step("place-point", (), label, coords=(str(pt.x), str(pt.y))), pt
-        )
-        return pt
+        return self.run(Step("place-point", (), label, coords=(str(x), str(y))))
 
     def line(self, label: str, p: str, q: str) -> Line:
-        obj = Line(self.bindings[p], self.bindings[q])
-        self._bind(Step("line", (p, q), label), obj)
-        return obj
+        return self.run(Step("line", (p, q), label))
 
     def circle(self, label: str, center: str, through: str) -> Circle:
-        obj = Circle(self.bindings[center], self.bindings[through])
-        self._bind(Step("circle", (center, through), label), obj)
-        return obj
+        return self.run(Step("circle", (center, through), label))
 
     def intersect(self, label: str, o1: str, o2: str):
-        obj = _intersect_objects(self.bindings[o1], self.bindings[o2])
-        self._bind(Step("intersect", (o1, o2), label), obj)
-        return obj
+        return self.run(Step("intersect", (o1, o2), label))
 
     def select(self, label: str, pair: str, selector: str) -> Point:
-        pt = _apply_selector(self.bindings[pair], selector, self.bindings)
-        self._bind(Step("select", (pair,), label, selector=selector), pt)
-        return pt
+        return self.run(Step("select", (pair,), label, selector=selector))
 
     def select_wanted(self, label: str, pair: str, wanted: Point) -> Point:
         """Pick a selector that singles out ``wanted`` among the candidates."""
@@ -223,21 +251,13 @@ class _Builder:
 
 
 def replay(steps: list[Step]) -> Trace:
-    """Re-execute a step list from scratch; bindings are rebuilt exactly."""
+    """Re-execute a step list from scratch; bindings are rebuilt exactly.
+
+    A malformed step (unknown kind, wrong number or class of inputs, an
+    unbound label, a place-point without coords) raises ValueError."""
     b = _Builder()
     for step in steps:
-        if step.kind == "place-point":
-            b.place(step.output, parse(step.coords[0]), parse(step.coords[1]))
-        elif step.kind == "line":
-            b.line(step.output, *step.inputs)
-        elif step.kind == "circle":
-            b.circle(step.output, *step.inputs)
-        elif step.kind == "intersect":
-            b.intersect(step.output, *step.inputs)
-        elif step.kind == "select":
-            b.select(step.output, step.inputs[0], step.selector)
-        else:
-            raise ValueError(f"unknown step kind {step.kind!r}")
+        b.run(step)
     return b.trace()
 
 
@@ -396,27 +416,18 @@ def construct_polygon(n: int) -> tuple[Polygon, Trace]:
     a = b.bindings["A"]
     a2 = b.bindings["A'"]
 
-    if n == 3:
+    if n in (3, 6):
+        # The hexagon runs the triangle's steps, then the same ones from A.
         b.circle("c3", "A'", "O")
         b.intersect("IB", "c3", "K")
-        v1 = b.select("B", "IB", "positive-y")
-        v2 = b.select("B'", "IB", "negative-y")
-        vertices = [a, v1, v2]
+        vertices = [a, b.select("B", "IB", "positive-y"), b.select("B'", "IB", "negative-y")]
+        if n == 6:
+            b.circle("c4", "A", "O")
+            b.intersect("IC", "c4", "K")
+            vertices += [a2, b.select("C", "IC", "positive-y"), b.select("C'", "IC", "negative-y")]
     elif n == 4:
         b.intersect("IB", "m", "K")
-        v1 = b.select("B", "IB", "positive-y")
-        v2 = b.select("B'", "IB", "negative-y")
-        vertices = [a, v1, a2, v2]
-    elif n == 6:
-        b.circle("c3", "A'", "O")
-        b.intersect("IB", "c3", "K")
-        v1 = b.select("B", "IB", "positive-y")
-        v2 = b.select("B'", "IB", "negative-y")
-        b.circle("c4", "A", "O")
-        b.intersect("IC", "c4", "K")
-        v3 = b.select("C", "IC", "positive-y")
-        v4 = b.select("C'", "IC", "negative-y")
-        vertices = [a, v1, v2, a2, v3, v4]
+        vertices = [a, b.select("B", "IB", "positive-y"), a2, b.select("B'", "IB", "negative-y")]
     else:
         _pentagon_radius_circle(b)
         b.intersect("ID", "cg", "AA'")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -638,10 +639,21 @@ def approx(x, digits: int) -> str:
 
 _NUMBER = re.compile(r"-?\d+(?:/\d+)?")
 
+# Deepest nesting `parse` accepts.  Parsing a value, then printing it and
+# taking its sign and decimals, took D + 10 stack frames for D parentheses
+# nested in `a` parts, 2n + 7 for a radicand chain n deep (2n parentheses):
+# 500 leaves half of Python's default recursion limit to the caller.
+_PARSE_DEPTH = 500
+
 
 def parse(text: str) -> Constructible:
     """Parse the canonical rendering: rationals as ``p/q`` and extensions as
-    ``(a + b*sqrt(r))`` (or ``(a - b*sqrt(r))``), recursively."""
+    ``(a + b*sqrt(r))`` (or ``(a - b*sqrt(r))``), recursively.  Text nested
+    more than 500 parentheses deep is refused with ValueError before any
+    recursion."""
+    depth = max(accumulate(1 if p == "(" else -1 for p in re.findall(r"[()]", text)), default=0)
+    if depth > _PARSE_DEPTH:
+        raise ValueError(f"input nested {depth} parentheses deep, past the limit of {_PARSE_DEPTH}")
     value, rest = _parse_value(text.strip())
     if rest.strip():
         raise ValueError(f"trailing input {rest!r}")

@@ -83,7 +83,7 @@ class Line(_Record):
     """
 
     _fields = ("p", "q")
-    __slots__ = _fields + ("_coeffs",)
+    __slots__ = _fields + ("coefficients",)
 
     def __init__(self, p: Point, q: Point):
         if p == q:
@@ -93,12 +93,8 @@ class Line(_Record):
         c = a * p.x + b * p.y
         self._init(p, q, _canonical(a, b, c))
 
-    @property
-    def coefficients(self) -> tuple[Constructible, Constructible, Constructible]:
-        return self._coeffs
-
     def eval_at(self, pt: Point) -> Constructible:
-        a, b, c = self._coeffs
+        a, b, c = self.coefficients
         return a * pt.x + b * pt.y - c
 
     def contains(self, pt: Point) -> bool:
@@ -109,19 +105,15 @@ class Circle(_Record):
     """Compass circle: a center and a point on the circumference."""
 
     _fields = ("center", "through")
-    __slots__ = _fields + ("_radius_sq",)
+    __slots__ = _fields + ("radius_sq",)
 
     def __init__(self, center: Point, through: Point):
         if center == through:
             raise ValueError("a circle through its own center has zero radius")
         self._init(center, through, dist_sq(center, through))
 
-    @property
-    def radius_sq(self) -> Constructible:
-        return self._radius_sq
-
     def power_at(self, pt: Point) -> Constructible:
-        return dist_sq(pt, self.center) - self._radius_sq
+        return dist_sq(pt, self.center) - self.radius_sq
 
     def contains(self, pt: Point) -> bool:
         return sign(self.power_at(pt)) == 0

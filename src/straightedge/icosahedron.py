@@ -11,9 +11,10 @@ identity phi^2 = phi + 1 does all the work.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from itertools import combinations
 
-from .exactnum import Constructible, _Record, approx, sign, sqrt
+from .exactnum import Constructible, ONE, ZERO, _Record, approx, sign, sqrt
 from .reporting import Check, Report
 
 __all__ = [
@@ -28,6 +29,9 @@ __all__ = [
 ]
 
 PHI = (1 + sqrt(5)) / 2
+
+# Orders values by exact comparison; min and max keep the first extreme.
+_exact = cmp_to_key(lambda u, v: sign(u - v))
 
 
 class Point3(_Record):
@@ -94,16 +98,12 @@ def golden_rectangles() -> tuple[GoldenRectangle, GoldenRectangle, GoldenRectang
     Short sides have length 2 (unit offsets), long sides 2*phi; the corner
     coordinates are (+-1, +-phi, 0) and cyclic shifts.
     """
-    one = Constructible.of(1)
-    zero = Constructible.of(0)
-    phi = PHI
-
     def rect(plane: str, short_axis: int, long_axis: int) -> GoldenRectangle:
         corners = []
         for s, l in ((1, 1), (-1, 1), (-1, -1), (1, -1)):
-            coords = [zero, zero, zero]
-            coords[short_axis] = s * one
-            coords[long_axis] = l * phi
+            coords = [ZERO, ZERO, ZERO]
+            coords[short_axis] = s * ONE
+            coords[long_axis] = l * PHI
             corners.append(Point3(*coords))
         return GoldenRectangle(tuple(corners), plane)
 
@@ -128,10 +128,7 @@ def build_icosahedron() -> IcosaMesh:
         (i, j): dist_sq3(vertices[i], vertices[j])
         for i, j in combinations(range(len(vertices)), 2)
     }
-    minimal = None
-    for d in pair_dist.values():
-        if minimal is None or sign(d - minimal) < 0:
-            minimal = d
+    minimal = min(pair_dist.values(), key=_exact)
     edges = tuple(
         pair for pair, d in pair_dist.items() if sign(d - minimal) == 0
     )
@@ -200,13 +197,7 @@ def _neighbor_pentagon_checks(mesh: IcosaMesh, checks: list[Check]) -> None:
         # The ten pairwise distances split 5/5 into sides and diagonals with
         # diagonal = phi * side: the golden-ratio pentagon relation.
         dists = [dist_sq3(p, q) for p, q in combinations(pts, 2)]
-        side = diag = None
-        for d in dists:
-            if side is None or sign(d - side) < 0:
-                side = d
-        for d in dists:
-            if diag is None or sign(d - diag) > 0:
-                diag = d
+        side, diag = min(dists, key=_exact), max(dists, key=_exact)
         sides = sum(1 for d in dists if sign(d - side) == 0)
         diags = sum(1 for d in dists if sign(d - diag) == 0)
         golden = (

@@ -1,9 +1,11 @@
 """Deterministic SVG rendering of construction traces.
 
-Coordinates are flattened through the exact decimal printer and all pixel
-arithmetic is done in rationals, so two renders of the same trace are
-byte-identical.  The y-axis is flipped into mathematical orientation so the
-diagrams read in the usual mathematical orientation.
+Every diagram is a 640 x 640 pixel frame with the unit circle centered in
+it, 40 pixels from each edge.  Coordinates are flattened through the exact
+decimal printer to ``RenderConfig.digits`` places (plus guard digits) and
+all pixel arithmetic is done in rationals, so two renders of the same trace
+are byte-identical.  The y-axis is flipped so the diagrams read in the
+usual mathematical orientation.
 """
 
 from __future__ import annotations
@@ -16,23 +18,17 @@ from .geom import Circle, Line, Point
 
 __all__ = ["RenderConfig", "render_svg"]
 
+_SIZE = 640  # width and height of the frame, in pixels
+_MARGIN = 40  # from the unit circle to each edge
+
 
 class RenderConfig(_Record):
-    __slots__ = _fields = ("width", "height", "margin", "digits", "labels")
+    __slots__ = _fields = ("digits", "labels")
 
-    def __init__(
-        self,
-        width: int = 640,
-        height: int = 640,
-        margin: int = 40,
-        digits: int = 5,
-        labels: bool = True,
-    ):
-        if width <= 0 or height <= 0 or margin < 0:
-            raise ValueError("dimensions must be positive")
+    def __init__(self, digits: int = 5, labels: bool = True):
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        self._init(width, height, margin, digits, labels)
+        self._init(digits, labels)
 
 
 def _fmt(value: Fraction, places: int = 2) -> str:
@@ -41,31 +37,6 @@ def _fmt(value: Fraction, places: int = 2) -> str:
     body = str(abs(n)).rjust(places + 1, "0")
     sign_str = "-" if n < 0 else ""
     return f"{sign_str}{body[:-places]}.{body[-places:]}"
-
-
-class _Mapper:
-    def __init__(self, cfg: RenderConfig):
-        self.cfg = cfg
-        self.scale = Fraction(min(cfg.width, cfg.height) - 2 * cfg.margin, 2)
-        self.cx = Fraction(cfg.width, 2)
-        self.cy = Fraction(cfg.height, 2)
-
-    def x(self, value) -> Fraction:
-        return self.cx + self.scale * Fraction(approx(value, self.cfg.digits + 4))
-
-    def y(self, value) -> Fraction:
-        return self.cy - self.scale * Fraction(approx(value, self.cfg.digits + 4))
-
-    def length(self, value) -> Fraction:
-        return self.scale * Fraction(approx(value, self.cfg.digits + 4))
-
-
-def _line_endpoints(mapper: _Mapper, line: Line) -> tuple[Fraction, ...]:
-    # Stretch the defining segment far beyond the viewport; SVG clips it.
-    x1, y1 = mapper.x(line.p.x), mapper.y(line.p.y)
-    x2, y2 = mapper.x(line.q.x), mapper.y(line.q.y)
-    dx, dy = x2 - x1, y2 - y1
-    return (x1 - 20 * dx, y1 - 20 * dy, x2 + 20 * dx, y2 + 20 * dy)
 
 
 def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon | None = None) -> str:
@@ -77,9 +48,16 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
     circles.
     """
     cfg = cfg or RenderConfig()
-    m = _Mapper(cfg)
-    body: list[str] = []
+    scale = Fraction(_SIZE - 2 * _MARGIN, 2)
+    center = Fraction(_SIZE, 2)
 
+    def length(value) -> Fraction:
+        return scale * Fraction(approx(value, cfg.digits + 4))
+
+    def at(p: Point) -> tuple[Fraction, Fraction]:
+        return center + length(p.x), center - length(p.y)
+
+    body: list[str] = []
     origin = Point.of(0, 0)
     for step in trace.steps:
         obj = trace.bindings[step.output]
@@ -89,19 +67,22 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
                 if obj.center == origin and obj.radius_sq == 1
                 else "construction"
             )
+            cx, cy = at(obj.center)
             body.append(
-                f'<circle class="{kind}" cx="{_fmt(m.x(obj.center.x))}" '
-                f'cy="{_fmt(m.y(obj.center.y))}" '
-                f'r="{_fmt(m.length(sqrt(obj.radius_sq)))}" />'
+                f'<circle class="{kind}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
+                f'r="{_fmt(length(sqrt(obj.radius_sq)))}" />'
             )
         elif isinstance(obj, Line):
-            x1, y1, x2, y2 = _line_endpoints(m, obj)
+            # Stretch the defining segment far beyond the viewport; SVG clips it.
+            (x1, y1), (x2, y2) = at(obj.p), at(obj.q)
+            dx, dy = x2 - x1, y2 - y1
             body.append(
-                f'<line class="construction" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" />'
+                f'<line class="construction" x1="{_fmt(x1 - 20 * dx)}" '
+                f'y1="{_fmt(y1 - 20 * dy)}" x2="{_fmt(x2 + 20 * dx)}" '
+                f'y2="{_fmt(y2 + 20 * dy)}" />'
             )
         elif isinstance(obj, Point):
-            px, py = m.x(obj.x), m.y(obj.y)
+            px, py = at(obj)
             body.append(
                 f'<circle class="marker" cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" />'
             )
@@ -114,7 +95,7 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
 
     if polygon is not None:
         points = " ".join(
-            f"{_fmt(m.x(v.x))},{_fmt(m.y(v.y))}" for v in polygon.vertices
+            f"{_fmt(x)},{_fmt(y)}" for x, y in map(at, polygon.vertices)
         )
         body.append(f'<polygon class="result" points="{points}" />')
 
@@ -127,8 +108,8 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
         "text.label{font:italic 14px serif;fill:#222}"
     )
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{cfg.width}" '
-        f'height="{cfg.height}" viewBox="0 0 {cfg.width} {cfg.height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">'
         f"<style>{style}</style>"
     )
     return head + "".join(body) + "</svg>\n"

@@ -168,24 +168,11 @@ def max_building_height(distance, angle) -> Constructible:
 
 
 def point_on_circle(degrees: Fraction) -> tuple[Constructible, Constructible]:
-    """Exact (cos, sin) of any grid multiple in [0, 360), for vertex checks."""
-    deg = Fraction(degrees) % 360
-    if deg == 0:
-        return ONE, ZERO
-    if deg == 90:
-        return ZERO, ONE
-    if deg == 180:
-        return -ONE, ZERO
-    if deg == 270:
-        return ZERO, -ONE
-    if deg < 90:
-        s, c = sin_cos(Angle(deg))
-        return c, s
-    if deg < 180:
-        s, c = sin_cos(Angle(180 - deg))
-        return -c, s
-    if deg < 270:
-        s, c = sin_cos(Angle(deg - 180))
-        return -c, -s
-    s, c = sin_cos(Angle(360 - deg))
-    return c, -s
+    """Exact (cos, sin) of any grid multiple, for vertex checks: the point
+    for the remainder below 90 degrees, turned a quarter turn once per whole
+    quadrant."""
+    quadrants, rest = divmod(Fraction(degrees) % 360, 90)
+    s, c = sin_cos(Angle(rest)) if rest else (ZERO, ONE)
+    for _ in range(quadrants):
+        c, s = -s, c
+    return c, s

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -105,6 +106,21 @@ class TestTrace:
         data = json.loads(trace_to_json(trace))
         again = replay(steps_from_dict(data))
         assert trace_to_dict(again) == data
+
+    @pytest.mark.parametrize("label, change", [
+        ("c1", lambda step: step.update(inputs=["A", "Z"])),
+        ("D", lambda step: step.update(selector="on-segment(O,Q9)")),
+        ("m", lambda step: step["inputs"].append("A")),
+        ("T", lambda step: step.update(inputs=["m"])),
+        ("A", lambda step: step.pop("coords")),
+        ("IT", lambda step: step.update(inputs=["m", "O"])),
+    ], ids=["unbound input", "unbound segment end", "line of three points",
+            "select on a line", "point without coords", "intersect a point"])
+    def test_replay_rejects_a_malformed_trace(self, label, change):
+        data = trace_to_dict(construct_polygon(5)[1])
+        change(next(step for step in data["steps"] if step["output"] == label))
+        with pytest.raises(ValueError, match=re.escape(f"step {label!r}")):
+            replay(steps_from_dict(data))
 
     def test_json_schema(self):
         _, trace = construct_polygon(4)

@@ -243,6 +243,19 @@ class TestRendering:
         with pytest.raises(ValueError):
             parse("(1 * 2)")
 
+    def test_parse_depth_limit(self):
+        # k levels nested in the a part reach k + 1 parentheses (with sqrt's)
+        limit = exactnum._PARSE_DEPTH
+        k = limit - 1
+        x = parse("(" * k + "1" + " + 1*sqrt(2))" * k)
+        assert x == 1 + k * sqrt(2)
+        with pytest.raises(ValueError, match=f"nested {limit + 1} parentheses deep"):
+            parse("(" * (k + 1) + "1" + " + 1*sqrt(2))" * (k + 1))
+        # a radicand chain takes two levels per radicand
+        n = limit // 2 + 1
+        with pytest.raises(ValueError, match="parentheses deep"):
+            parse("(2 + 1*sqrt(" * n + "2" + "))" * n)
+
 
 class TestNormalization:
     def test_collapse_to_rational(self):

@@ -110,9 +110,9 @@ VALUES = {
     ),
     "RenderConfig": (
         lambda: RenderConfig(digits=9, labels=False),
-        lambda: RenderConfig(640, 640, 40, 9, False),
+        lambda: RenderConfig(9, False),
         lambda: RenderConfig(),
-        "RenderConfig(width=640, height=640, margin=40, digits=9, labels=False)",
+        "RenderConfig(digits=9, labels=False)",
     ),
 }
 FROZEN = sorted(set(VALUES) - {"Trace"})
@@ -198,7 +198,7 @@ def test_defaults():
     assert Check("a", True).detail == ""
     assert Report().checks == () and Report().ok
     cfg = RenderConfig(digits=9, labels=False)
-    assert (cfg.width, cfg.height, cfg.margin, cfg.digits, cfg.labels) == (640, 640, 40, 9, False)
+    assert (cfg.digits, cfg.labels) == (9, False)
     assert RenderConfig().digits == 5 and RenderConfig().labels is True
 
 
@@ -215,8 +215,6 @@ def test_defaults():
      "a polygon needs at least 3 vertices"),
     (lambda: Polygon(4, (P(1, 0), P(0, 1), P(-1, 0)), P(0, 0)), ValueError,
      "expected 4 vertices, got 3"),
-    (lambda: RenderConfig(width=0), ValueError, "dimensions must be positive"),
-    (lambda: RenderConfig(margin=-1), ValueError, "dimensions must be positive"),
     (lambda: RenderConfig(digits=0), ValueError, "digits must be >= 1"),
 ])
 def test_validation(build, error, message):
