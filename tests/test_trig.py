@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +21,7 @@ from straightedge.trig import (
 )
 
 TRIG_GRID = Path(__file__).parent / "golden" / "trig_grid.txt"
+TRIG_DEEP = Path(__file__).parent / "golden" / "trig_deep.txt"
 
 
 def closed_forms():
@@ -291,6 +293,33 @@ class TestOldRouteDifferential:
     def test_grid_matches_three_degree_ladder(self):
         want = TRIG_GRID.read_text().splitlines()
         got = trig_grid_lines()
+        assert len(got) == len(want)
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert g == w, f"line {i + 1}"
+
+
+def trig_deep_lines() -> list[str]:
+    """Lines frozen in golden/trig_deep.txt: 24 seeded angles 3*m/2^k with
+    odd m at each of k = 4 and k = 5, the depths past trig_grid.txt that
+    the CLI ``trig`` command still reaches.  Each line is ``deg`` and the
+    SHA-256 of ``deg sin cos tan``.  The file was written by the 3-degree
+    addition chain, before integer angles became one sum formula of an 18
+    and a 15 degree multiple; it must never be regenerated."""
+    rng = random.Random(20261019)
+    lines = []
+    for k in (4, 5):
+        for m in sorted(rng.sample(range(1, 30 * 2**k, 2), 24)):
+            deg = Fraction(3 * m, 2**k)
+            s, c = sin_cos(Angle(deg))
+            line = f"{deg} {s} {c} {tan(Angle(deg))}"
+            lines.append(f"{deg} {hashlib.sha256(line.encode()).hexdigest()}")
+    return lines
+
+
+class TestDeepGrid:
+    def test_deep_angles_match_the_golden(self):
+        want = TRIG_DEEP.read_text().splitlines()
+        got = trig_deep_lines()
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"line {i + 1}"
