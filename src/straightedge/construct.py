@@ -300,18 +300,24 @@ def trace_to_json(trace: Trace) -> str:
 
 
 def steps_from_dict(data: dict) -> list[Step]:
+    """The steps of a ``trace_to_dict`` dict.  An entry missing its inputs
+    or a coordinate, or with a field that is not a string, raises ValueError
+    naming the step, as ``replay`` does for a malformed step."""
     steps = []
     for entry in data["steps"]:
-        coords = entry.get("coords")
-        steps.append(
-            Step(
-                entry["kind"],
-                tuple(entry["inputs"]),
-                entry["output"],
-                selector=entry.get("selector"),
-                coords=(coords["x"], coords["y"]) if coords else None,
-            )
-        )
+        kind, output, inputs = entry.get("kind"), entry.get("output"), entry.get("inputs")
+        selector, coords = entry.get("selector"), entry.get("coords")
+        where = f"step {output!r} ({kind})"
+        if not isinstance(inputs, list):
+            raise ValueError(f"{where}: no list of inputs")
+        if coords is not None:
+            if not isinstance(coords, dict) or not {"x", "y"} <= coords.keys():
+                raise ValueError(f"{where}: coords need x and y")
+            coords = (coords["x"], coords["y"])
+        fields = [kind, output, *inputs, *(coords or ()), *([] if selector is None else [selector])]
+        if not all(isinstance(field, str) for field in fields):
+            raise ValueError(f"{where}: kind, output, inputs, selector and coords must be strings")
+        steps.append(Step(kind, tuple(inputs), output, selector=selector, coords=coords))
     return steps
 
 

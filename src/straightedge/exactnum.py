@@ -318,6 +318,8 @@ def _radicand_order(x: Constructible) -> tuple:
 # rendered only when the two are distinct objects): x = a + b*sqrt(r), with
 # b = ZERO when x does not reach r.  It recurses on the parts through the
 # kernels and rejoins them as lo + hi*sqrt(r), or as lo alone when hi is 0.
+# A quotient is the dividend times the divisor's conjugate a - b*sqrt(r), each
+# part times one reciprocal of the norm a^2 - b^2*r: one division per level.
 # A node's coefficients and radicand all sort before its own radicand, so the
 # parts live in strictly shallower towers and the recursion ends at rationals.
 
@@ -409,8 +411,9 @@ def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
         # Degenerate chain: a2 - b2*sqrt(r) = 0, so the divisor equals 2*a2.
         y = _scaled(a2, 2)
         return _join(_div(a1, y), _div(b1, y), r)
+    inv = _div(ONE, den)
     lo = _sub(_mul(a1, a2), _mul(r, _mul(b1, b2)))
-    return _join(_div(lo, den), _div(_sub(_mul(b1, a2), _mul(a1, b2)), den), r)
+    return _join(_mul(lo, inv), _mul(_sub(_mul(b1, a2), _mul(a1, b2)), inv), r)
 
 
 def _scaled(x: Constructible, n: int, d: int = 1) -> Constructible:

@@ -2,12 +2,11 @@
 
 Supported angles are ``3*m / 2**k`` degrees in (0, 90]: everything a
 straightedge and compass can reach starting from the 18/30/45 degree seed
-values.  Integer multiples of 3 degrees come from the subtraction formula
-for 15 = 45 - 30 and 3 = 18 - 15, and from the binary method of addition
-chains for the rest: a multiple of 6 is the double of its half
-(double-angle formulas), an odd multiple of 3 is 3 more than the even
-multiple below it (addition formulas).  From an empty memo an integer angle
-takes at most 8 derived steps.
+values.  36 and 90 are the doubles of 18 and 45, an integer angle above 45
+is the complement of 90 - deg, 15 = 45 - 30, and any other integer angle 3m
+is one sum formula 18i +- 15|j| (i = m mod 5) of an 18-degree multiple, in
+Q(sqrt 5, sqrt(10 + 2*sqrt 5)), and a 15-degree one, in Q(sqrt 2, sqrt 3).
+From an empty memo an integer angle takes at most 5 derived steps (51).
 Dyadic subdivisions come from the half-angle formulas, always on the
 positive branch since every grid angle is acute.  Results are memoized, so
 each angle is derived once via a fixed route.
@@ -55,10 +54,8 @@ class Angle(_Record):
     def of(cls, value) -> "Angle":
         if isinstance(value, Angle):
             return value
-        if isinstance(value, (int, str)):
+        if isinstance(value, (int, str, Fraction)):
             return cls(Fraction(value))
-        if isinstance(value, Fraction):
-            return cls(value)
         raise TypeError(f"cannot read an angle from {type(value).__name__}")
 
     def __str__(self) -> str:
@@ -66,9 +63,8 @@ class Angle(_Record):
 
 
 # Deepest dyadic subdivision 3*m/2^k that `tan` computes.  tan(3/2^k) is a
-# dense tower element: its rendering and its time from an empty memo double
-# with each k (7,851 characters in 0.18 s at k = 5, 61,335 in 1.5 s at
-# k = 8), and k = 12 runs for over a minute.
+# dense tower element whose rendering doubles with each k (7,851 characters at
+# k = 5); from an empty memo it takes 0.02 s at k = 5 and 0.07 s at k = 8.
 MAX_TRIG_DEPTH = 5
 
 _memo: dict[Fraction, tuple[Constructible, Constructible]] = {}
@@ -86,8 +82,7 @@ def _seed_values() -> dict[Fraction, tuple[Constructible, Constructible]]:
 
 
 def _sum_formula(x, y, subtract=False):
-    sx, cx = x
-    sy, cy = y
+    (sx, cx), (sy, cy) = x, y
     if subtract:
         return sx * cy - cx * sy, cx * cy + sx * sy
     return sx * cy + cx * sy, cx * cy - sx * sy
@@ -101,15 +96,17 @@ def _sin_cos_raw(deg: Fraction) -> tuple[Constructible, Constructible]:
         if cached is not None:
             return cached
         if deg.denominator == 1:
-            if deg == 15:
-                value = _sum_formula(_sin_cos_raw(Fraction(45)), _sin_cos_raw(Fraction(30)), subtract=True)
-            elif deg == 3:
-                value = _sum_formula(_sin_cos_raw(Fraction(18)), _sin_cos_raw(Fraction(15)), subtract=True)
-            elif deg % 6 == 0:
+            if deg in (36, 90):
                 s, c = _sin_cos_raw(deg / 2)
                 value = (2 * (s * c), 1 - 2 * (s * s))
+            elif deg > 45:
+                value = _sin_cos_raw(90 - deg)[::-1]
+            elif deg == 15:
+                value = _sum_formula(_sin_cos_raw(Fraction(45)), _sin_cos_raw(Fraction(30)), subtract=True)
             else:
-                value = _sum_formula(_sin_cos_raw(deg - 3), _sin_cos_raw(Fraction(3)))
+                i = deg.numerator // 3 % 5
+                j = (deg.numerator - 18 * i) // 15  # deg = 18i + 15j
+                value = _sum_formula(_sin_cos_raw(Fraction(18 * i)), _sin_cos_raw(Fraction(15 * abs(j))), subtract=j < 0)
         else:
             double = 2 * deg
             if double <= 90:

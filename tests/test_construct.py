@@ -114,8 +114,12 @@ class TestTrace:
         ("T", lambda step: step.update(inputs=["m"])),
         ("A", lambda step: step.pop("coords")),
         ("IT", lambda step: step.update(inputs=["m", "O"])),
+        ("c1", lambda step: step.pop("inputs")),
+        ("A", lambda step: step["coords"].pop("y")),
+        ("m", lambda step: step.update(inputs=[step["inputs"][:1], step["inputs"][1]])),
     ], ids=["unbound input", "unbound segment end", "line of three points",
-            "select on a line", "point without coords", "intersect a point"])
+            "select on a line", "point without coords", "intersect a point",
+            "step without inputs", "coords without y", "list as a label"])
     def test_replay_rejects_a_malformed_trace(self, label, change):
         data = trace_to_dict(construct_polygon(5)[1])
         change(next(step for step in data["steps"] if step["output"] == label))
