@@ -302,9 +302,12 @@ def trace_to_json(trace: Trace) -> str:
 def steps_from_dict(data: dict) -> list[Step]:
     """The steps of a ``trace_to_dict`` dict.  An entry missing its inputs
     or a coordinate, or with a field that is not a string, raises ValueError
-    naming the step, as ``replay`` does for a malformed step."""
+    naming the step, as ``replay`` does for a malformed step; so does an
+    entry that is not a dict."""
     steps = []
     for entry in data["steps"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"step {entry!r}: not an object")
         kind, output, inputs = entry.get("kind"), entry.get("output"), entry.get("inputs")
         selector, coords = entry.get("selector"), entry.get("coords")
         where = f"step {output!r} ({kind})"
@@ -314,7 +317,9 @@ def steps_from_dict(data: dict) -> list[Step]:
             if not isinstance(coords, dict) or not {"x", "y"} <= coords.keys():
                 raise ValueError(f"{where}: coords need x and y")
             coords = (coords["x"], coords["y"])
-        fields = [kind, output, *inputs, *(coords or ()), *([] if selector is None else [selector])]
+        fields = [kind, output, *inputs, *(coords or ())]
+        if selector is not None:
+            fields.append(selector)
         if not all(isinstance(field, str) for field in fields):
             raise ValueError(f"{where}: kind, output, inputs, selector and coords must be strings")
         steps.append(Step(kind, tuple(inputs), output, selector=selector, coords=coords))

@@ -6,7 +6,7 @@ values.  36 and 90 are the doubles of 18 and 45, an integer angle above 45
 is the complement of 90 - deg, 15 = 45 - 30, and any other integer angle 3m
 is one sum formula 18i +- 15|j| (i = m mod 5) of an 18-degree multiple, in
 Q(sqrt 5, sqrt(10 + 2*sqrt 5)), and a 15-degree one, in Q(sqrt 2, sqrt 3).
-From an empty memo an integer angle takes at most 5 derived steps (51).
+From an empty memo an integer angle takes at most 5 derived steps, at 51.
 Dyadic subdivisions come from the half-angle formulas, always on the
 positive branch since every grid angle is acute.  Results are memoized, so
 each angle is derived once via a fixed route.
@@ -99,7 +99,7 @@ def _sin_cos_raw(deg: Fraction) -> tuple[Constructible, Constructible]:
             if deg in (36, 90):
                 s, c = _sin_cos_raw(deg / 2)
                 value = (2 * (s * c), 1 - 2 * (s * s))
-            elif deg > 45:
+            elif deg > 45:  # the complement's sin and cos, swapped
                 value = _sin_cos_raw(90 - deg)[::-1]
             elif deg == 15:
                 value = _sum_formula(_sin_cos_raw(Fraction(45)), _sin_cos_raw(Fraction(30)), subtract=True)

@@ -126,6 +126,10 @@ class TestTrace:
         with pytest.raises(ValueError, match=re.escape(f"step {label!r}")):
             replay(steps_from_dict(data))
 
+    def test_steps_from_dict_rejects_an_entry_that_is_not_an_object(self):
+        with pytest.raises(ValueError, match="step 7: not an object"):
+            steps_from_dict({"steps": [7]})
+
     def test_json_schema(self):
         _, trace = construct_polygon(4)
         data = trace_to_dict(trace)
