@@ -284,10 +284,7 @@ ONE = Constructible(1)
 
 def _depth(x: Constructible) -> int:
     if x._depth is None:
-        if x.r is None:
-            x._depth = 0
-        else:
-            x._depth = 1 + max(_depth(x.a), _depth(x.b), _depth(x.r))
+        x._depth = 0 if x.r is None else 1 + max(_depth(x.a), _depth(x.b), _depth(x.r))
     return x._depth
 
 
@@ -354,9 +351,7 @@ def _div(x: Constructible, y: Constructible) -> Constructible:
 
 
 def _neg(x: Constructible) -> Constructible:
-    if x.r is None:
-        return Constructible(-x.a, x.b)
-    return Constructible(_neg(x.a), _neg(x.b), x.r)
+    return Constructible(-x.a, x.b) if x.r is None else Constructible(_neg(x.a), _neg(x.b), x.r)
 
 
 def _norm(a: Constructible, b: Constructible, r: Constructible) -> Constructible:
@@ -544,8 +539,11 @@ def sqrt(x) -> Constructible:
     if s == 0:
         return ZERO
     within = _sqrt_within(x)
-    if within is not None:
-        return within
+    return _adjoin(x) if within is None else within
+
+
+def _adjoin(x: Constructible) -> Constructible:
+    # The root of a positive irrational x that has none in x's own tower.
     num, den = _content(x)
     primitive = _scaled(x, den, num)
     inner, outer = _squarefree_split(num * den)

@@ -7,9 +7,11 @@ is the complement of 90 - deg, 15 = 45 - 30, and any other integer angle 3m
 is one sum formula 18i +- 15|j| (i = m mod 5) of an 18-degree multiple, in
 Q(sqrt 5, sqrt(10 + 2*sqrt 5)), and a 15-degree one, in Q(sqrt 2, sqrt 3).
 From an empty memo an integer angle takes at most 5 derived steps, at 51.
-Dyadic subdivisions come from the half-angle formulas, always on the
-positive branch since every grid angle is acute.  Results are memoized, so
-each angle is derived once via a fixed route.
+Dyadic subdivisions come from the half-angle formulas on the positive branch
+(every grid angle is acute), skipping sqrt's search for a root inside the
+tower of cos(2*deg), which cannot succeed: for m odd and k >= 1 the field of
+sin and cos of 3m/2^k holds cos(360/2^(k+3) degrees), and that tower lies in
+a Q(zeta_n) with 2^(k+3) not dividing n.  Each angle is memoized, derived once.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .exactnum import Constructible, ONE, ZERO, _Record, sign, sqrt
+from .exactnum import Constructible, ONE, ZERO, _Record, _adjoin, sign, sqrt
 
 __all__ = [
     "Angle",
@@ -64,7 +66,7 @@ class Angle(_Record):
 
 # Deepest dyadic subdivision 3*m/2^k that `tan` computes.  tan(3/2^k) is a
 # dense tower element whose rendering doubles with each k (7,851 characters at
-# k = 5); from an empty memo it takes 0.02 s at k = 5 and 0.07 s at k = 8.
+# k = 5); from an empty memo it takes 0.005 s at k = 5 and 0.02 s at k = 8.
 MAX_TRIG_DEPTH = 5
 
 _memo: dict[Fraction, tuple[Constructible, Constructible]] = {}
@@ -114,7 +116,7 @@ def _sin_cos_raw(deg: Fraction) -> tuple[Constructible, Constructible]:
             else:
                 _, c2 = _sin_cos_raw(180 - double)
                 c2 = -c2
-            value = (sqrt((1 - c2) / 2), sqrt((1 + c2) / 2))
+            value = (_adjoin((1 - c2) / 2), _adjoin((1 + c2) / 2))
         _memo[deg] = value
         return value
 

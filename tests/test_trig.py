@@ -10,7 +10,7 @@ from mpmath import mp
 
 from conftest import mpf_of
 from straightedge import trig
-from straightedge.exactnum import Constructible, approx, sign, sqrt
+from straightedge.exactnum import Constructible, _sqrt_within, approx, sign, sqrt
 from straightedge.trig import (
     Angle,
     max_building_height,
@@ -109,6 +109,28 @@ class TestRoute:
             derived[3 * m] = len(empty_memo) - seeds
         assert max(derived.values()) <= 5, derived  # stepping by 3 took 17 at 87
         assert derived[36] == derived[60] == derived[90] == 1
+
+    def test_half_angle_radicands_have_no_root_in_their_own_tower(self, empty_memo):
+        # _sin_cos_raw adjoins the half-angle roots without sqrt's search
+        # inside the tower of cos(2*deg); the search finds nothing there.
+        for k in (1, 2, 3):
+            for m in range(1, 30 * 2**k, 2):
+                double = Fraction(3 * m, 2 ** (k - 1))
+                _, c2 = sin_cos(min(double, 180 - double))
+                c2 = c2 if double <= 90 else -c2
+                for x in ((1 - c2) / 2, (1 + c2) / 2):
+                    assert _sqrt_within(x) is None, (double / 2, x)
+
+    def test_deep_half_angles_take_no_search(self, empty_memo):
+        # With the search, sin_cos(3/2^16) took 12.6 s.
+        started = time.perf_counter()
+        sin_cos(Fraction(3, 2**16))
+        assert time.perf_counter() - started < 1.0
+        with mp.workdps(60):
+            for k in (16, 32):
+                s, _ = sin_cos(Fraction(3, 2**k))
+                want = mp.sin(mp.radians(mp.mpf(3) / 2**k))
+                assert abs(mpf_of(s) - want) < mp.mpf(10) ** -50, k
 
     def test_no_node_outlives_the_memo_without_the_cyclic_gc(self, empty_memo):
         # A benchmark job starts from an empty memo; that holds only if every
