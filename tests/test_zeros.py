@@ -6,12 +6,13 @@ collapse to the rational 0 inside the tower, so they never reach the exact
 nodes: degenerate chains, where a radicand's root equals a product of roots
 already in the tower, conjugate products against their norm, and one grid
 sine reached by two routes.  Each is proven zero by sympy's minimal
-polynomial, then nudged by +-2^-64, +-2^-200, +-2^-1000 and +-2^-2000, alone
-and times one of its radicals, where the sign must follow the nudge.  The
-last nudge lies below any 1024-bit enclosure, so a filter that takes an
-enclosure straddling 0 for a zero fails it.  The generator stays within
-four distinct radicands: sympy's minimal polynomial slows sharply with the
-degree.
+polynomial, then nudged by +-2^-64, +-2^-150, +-2^-170, +-2^-200, +-2^-1000
+and +-2^-2000, alone and times one of its radicals, where the sign must
+follow the nudge.  2^-150 and 2^-170 sit on either side of a 160-bit
+enclosure.  The last nudge lies below any 1024-bit enclosure, so a filter
+that takes an enclosure straddling 0 for a zero fails it.  The generator
+stays within four distinct radicands: sympy's minimal polynomial slows
+sharply with the degree.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def test_zero_is_proven_by_its_minimal_polynomial(name, zero):
     assert sympy.minimal_polynomial(_sympy_of(zero, sympy), t) == t
 
 
-@pytest.mark.parametrize("bits", (64, 200, 1000, 2000))
+@pytest.mark.parametrize("bits", (64, 150, 170, 200, 1000, 2000))
 @pytest.mark.parametrize("name, zero", ZEROS, ids=IDS)
 def test_perturbed_zero_takes_the_sign_of_the_perturbation(name, zero, bits):
     radical = sqrt(zero.r)
