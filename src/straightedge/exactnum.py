@@ -10,18 +10,17 @@ constructible numbers from strictly shallower extensions.
 Operands are coerced once, where they enter (the operators, `sign`, `sqrt`,
 `approx`, `parse`); all recursion below runs on private typed kernels with
 no operator dispatch.  `sign` (and hence equality and ordering) tries a
-64-bit integer enclosure before recursing on the tree, and only that exact
+160-bit integer enclosure before recursing on the tree, and only that exact
 recursion decides a zero; `approx` rounds correctly from enclosures of the
-value itself, refined until they decide.  Each extension node keeps its
-enclosure for the last k asked, so subtrees shared between values are
-enclosed once at that k.  No floating point is used anywhere.
+value itself, from 160 bits up until they decide.  Each extension node keeps
+its enclosure for the last k asked, so subtrees shared between values, and
+sign and approx of one value, share it.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, isqrt, lcm
 
 __all__ = [
@@ -104,12 +103,7 @@ class Constructible:
         self.a = a
         self.b = b
         self.r = r
-        self._key = None
-        self._depth = None
-        self._sign = None
-        self._hash = None
-        self._enc = None
-        self._root = None
+        self._key = self._depth = self._sign = self._hash = self._enc = self._root = None
 
     # -- construction -----------------------------------------------------
 
@@ -302,16 +296,12 @@ def _render(x: Constructible) -> str:
     return x._key
 
 
-def _radicand_order(x: Constructible) -> tuple:
-    return (_depth(x), _render(x))
-
-
 # -- tower arithmetic ---------------------------------------------------------
 #
 # Operands are coerced once, by the dunders and public functions; below them
 # the kernels _add, _sub, _mul, _div, _neg and _sign take Constructibles, hold
 # the rational fast paths and call _tower_binary otherwise.  It splits both
-# operands at the higher of their top radicands r (in _radicand_order,
+# operands at the higher of their top radicands r (by depth, then rendering,
 # rendered only when the two are distinct objects): x = a + b*sqrt(r), with
 # b = ZERO when x does not reach r.  It recurses on the parts through the
 # kernels and rejoins them as lo + hi*sqrt(r), or as lo alone when hi is 0.
@@ -381,7 +371,7 @@ def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
     elif y.r is None:
         r = x.r
     else:
-        r = max(x.r, y.r, key=_radicand_order)
+        r = max(x.r, y.r, key=lambda t: (_depth(t), _render(t)))
     a1, b1 = _split(x, r)
     a2, b2 = _split(y, r)
     if op == "add":
@@ -423,11 +413,14 @@ def _scaled(x: Constructible, n: int, d: int = 1) -> Constructible:
 
 # -- sign, equality ----------------------------------------------------------
 
+# Bits of sign's filter and approx's first rung: reads up to 38 places reuse it.
+_K = 160
+
 
 def sign(x) -> int:
     """Exact sign of ``x``: -1, 0 or +1, decided without floating point.
 
-    For ``a + b*sqrt(r)`` with disagreeing coefficient signs a 64-bit
+    For ``a + b*sqrt(r)`` with disagreeing coefficient signs a 160-bit
     enclosure is tried, then ``a^2`` versus ``b^2*r`` is recursed, which
     strictly shrinks the set of radicands involved, so the recursion always
     terminates.  Only the recursion decides a zero.
@@ -440,12 +433,11 @@ def _sign(x: Constructible) -> int:
         if x.r is None:
             x._sign = (x.a > 0) - (x.a < 0)
         else:
-            sa = _sign(x.a)
-            sb = _sign(x.b)
+            sa, sb = _sign(x.a), _sign(x.b)
             if sa * sb >= 0:
                 x._sign = sa or sb
             else:
-                lo, hi = _enclose(x, 64)
+                lo, hi = _enclose(x, _K)
                 x._sign = (lo > 0) - (hi < 0) or sa * _sign(_norm(x.a, x.b, x.r))
     return x._sign
 
@@ -599,14 +591,14 @@ def _enclose_root(r: Constructible, k: int) -> tuple[int, int]:
 def _floor(x: Constructible, s: int, n: int) -> int:
     """floor(|x|*n) for ``x`` of sign ``s`` and an int ``n > 0``.
 
-    The enclosure of ``x`` itself, at k from ``32 + n.bit_length()`` and
-    doubling, is multiplied by n.  One narrower than 2**(k//2) that still
+    The enclosure of ``x`` itself, at k from ``max(_K, 32 + n.bit_length())``
+    and doubling, is multiplied by n.  One narrower than 2**(k//2) that still
     straddles an integer m is settled by exact ``sign(x - s*m/n)``."""
     if s == 0:
         return 0
     if x.r is None:
         return s * x.a * n // x.b
-    k = 32 + n.bit_length()
+    k = max(_K, 32 + n.bit_length())
     while True:
         lo, hi = _enclose(x, k)
         lo, hi = (lo * n, hi * n) if s > 0 else (-hi * n, -lo * n)
@@ -645,16 +637,26 @@ _NUMBER = re.compile(r"-?\d+(?:/\d+)?")
 # nested in `a` parts, 2n + 7 for a radicand chain n deep (2n parentheses):
 # 500 leaves half of Python's default recursion limit to the caller.
 _PARSE_DEPTH = 500
+# Deepest chain of roots in radicands: sqrt's search time grows about 4x a level.
+_PARSE_ROOTS = 16
 
 
 def parse(text: str) -> Constructible:
     """Parse the canonical rendering: rationals as ``p/q`` and extensions as
     ``(a + b*sqrt(r))`` (or ``(a - b*sqrt(r))``), recursively.  Text nested
-    more than 500 parentheses deep is refused with ValueError before any
-    recursion."""
-    depth = max(accumulate(1 if p == "(" else -1 for p in re.findall(r"[()]", text)), default=0)
+    more than 500 parentheses deep, or 16 square roots deep, is refused with
+    ValueError before any recursion."""
+    roots, depth, chain = [0], 0, 0  # roots open at each unclosed parenthesis
+    for token in re.findall(r"sqrt\(|[()]", text):
+        if token != ")":
+            roots.append(roots[-1] + (token != "("))
+            depth, chain = max(depth, len(roots) - 1), max(chain, roots[-1])
+        elif len(roots) > 1:
+            roots.pop()
     if depth > _PARSE_DEPTH:
         raise ValueError(f"input nested {depth} parentheses deep, past the limit of {_PARSE_DEPTH}")
+    if chain > _PARSE_ROOTS:
+        raise ValueError(f"input nests {chain} square roots, past the limit of {_PARSE_ROOTS}")
     value, rest = _parse_value(text.strip())
     if rest.strip():
         raise ValueError(f"trailing input {rest!r}")
@@ -673,12 +675,9 @@ def _parse_value(s: str) -> tuple[Constructible, str]:
     if s.startswith("("):
         a, s = _parse_value(s[1:])
         s = s.lstrip()
-        if s.startswith("+"):
-            negative = False
-        elif s.startswith("-"):
-            negative = True
-        else:
+        if s[:1] not in ("+", "-"):
             raise ValueError(f"expected '+' or '-' at {s[:20]!r}")
+        negative = s[0] == "-"
         b, s = _parse_value(s[1:])
         s = _expect(s, "*sqrt(")
         r, s = _parse_value(s)

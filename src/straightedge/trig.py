@@ -11,7 +11,8 @@ Dyadic subdivisions come from the half-angle formulas on the positive branch
 (every grid angle is acute), skipping sqrt's search for a root inside the
 tower of cos(2*deg), which cannot succeed: for m odd and k >= 1 the field of
 sin and cos of 3m/2^k holds cos(360/2^(k+3) degrees), and that tower lies in
-a Q(zeta_n) with 2^(k+3) not dividing n.  Each angle is memoized, derived once.
+a Q(zeta_n) with 2^(k+3) not dividing n.  Each angle is derived once, memoized
+by the ints (n, d) of n/d degrees; only `Angle`, at the boundary, reads a Fraction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .exactnum import Constructible, ONE, ZERO, _Record, _adjoin, sign, sqrt
+from .exactnum import Constructible, ONE, ZERO, _Record, _adjoin, _scaled, sign
 
 __all__ = [
     "Angle",
@@ -69,79 +70,78 @@ class Angle(_Record):
 # k = 5); from an empty memo it takes 0.005 s at k = 5 and 0.02 s at k = 8.
 MAX_TRIG_DEPTH = 5
 
-_memo: dict[Fraction, tuple[Constructible, Constructible]] = {}
+_memo: dict[tuple[int, int], tuple[Constructible, Constructible]] = {}
 _memo_lock = threading.RLock()
 
 
-def _seed_values() -> dict[Fraction, tuple[Constructible, Constructible]]:
-    half = Constructible.of(Fraction(1, 2))
-    s5 = sqrt(5)
+def _seed_values() -> dict[tuple[int, int], tuple[Constructible, Constructible]]:
+    # Each root adjoined once: none of 5, 3, 2, 10 + 2*sqrt(5) has one in its tower.
+    s5 = _adjoin(Constructible(5))
+    half_s2 = _scaled(_adjoin(Constructible(2)), 1, 2)
     return {
-        Fraction(18): ((s5 - 1) / 4, sqrt(10 + 2 * s5) / 4),
-        Fraction(30): (half, sqrt(3) / 2),
-        Fraction(45): (sqrt(2) / 2, sqrt(2) / 2),
+        (18, 1): (_scaled(s5 - 1, 1, 4), _scaled(_adjoin(10 + 2 * s5), 1, 4)),
+        (30, 1): (Constructible(1, 2), _scaled(_adjoin(Constructible(3)), 1, 2)),
+        (45, 1): (half_s2, half_s2),
     }
 
 
-def _sum_formula(x, y, subtract=False):
-    (sx, cx), (sy, cy) = x, y
-    if subtract:
-        return sx * cy - cx * sy, cx * cy + sx * sy
-    return sx * cy + cx * sy, cx * cy - sx * sy
-
-
-def _sin_cos_raw(deg: Fraction) -> tuple[Constructible, Constructible]:
+def _sin_cos_raw(n: int, d: int) -> tuple[Constructible, Constructible]:
     with _memo_lock:
         if not _memo:
             _memo.update(_seed_values())
-        cached = _memo.get(deg)
+        cached = _memo.get((n, d))
         if cached is not None:
             return cached
-        if deg.denominator == 1:
-            if deg in (36, 90):
-                s, c = _sin_cos_raw(deg / 2)
+        if d == 1:
+            if n in (36, 90):
+                s, c = _sin_cos_raw(n // 2, 1)
                 value = (2 * (s * c), 1 - 2 * (s * s))
-            elif deg > 45:  # the complement's sin and cos, swapped
-                value = _sin_cos_raw(90 - deg)[::-1]
-            elif deg == 15:
-                value = _sum_formula(_sin_cos_raw(Fraction(45)), _sin_cos_raw(Fraction(30)), subtract=True)
-            else:
-                i = deg.numerator // 3 % 5
-                j = (deg.numerator - 18 * i) // 15  # deg = 18i + 15j
-                value = _sum_formula(_sin_cos_raw(Fraction(18 * i)), _sin_cos_raw(Fraction(15 * abs(j))), subtract=j < 0)
+            elif n > 45:  # the complement's sin and cos, swapped
+                value = _sin_cos_raw(90 - n, 1)[::-1]
+            else:  # n = p +- q: 45 - 30, or 18i + 15j with i = n/3 mod 5
+                p = 45 if n == 15 else n // 3 % 5 * 18
+                (sx, cx), (sy, cy) = _sin_cos_raw(p, 1), _sin_cos_raw(abs(n - p), 1)
+                if n < p:
+                    value = (sx * cy - cx * sy, cx * cy + sx * sy)
+                else:
+                    value = (sx * cy + cx * sy, cx * cy - sx * sy)
         else:
-            double = 2 * deg
-            if double <= 90:
-                _, c2 = _sin_cos_raw(double)
+            # n is odd and d a power of 2: the double n/(d/2) is in lowest terms
+            half = d // 2
+            if n <= 90 * half:
+                _, c2 = _sin_cos_raw(n, half)
             else:
-                _, c2 = _sin_cos_raw(180 - double)
+                _, c2 = _sin_cos_raw(180 * half - n, half)
                 c2 = -c2
             value = (_adjoin((1 - c2) / 2), _adjoin((1 + c2) / 2))
-        _memo[deg] = value
+        _memo[n, d] = value
         return value
 
 
+def _degrees(angle, cap: int, fn: str) -> tuple[int, int]:
+    """(n, d) of a grid angle of n/d degrees; 3*m/2^k with k > cap is refused."""
+    deg = Angle.of(angle).degrees
+    depth = deg.denominator.bit_length() - 1
+    if depth > cap:
+        raise ValueError(f"{deg} degrees is 3*m/2^{depth}; {fn} supports dyadic depth k <= {cap}")
+    return deg.numerator, deg.denominator
+
+
 def sin_cos(angle) -> tuple[Constructible, Constructible]:
-    """Exact (sin, cos) for a grid angle; sin^2 + cos^2 = 1 holds exactly."""
-    return _sin_cos_raw(Angle.of(angle).degrees)
+    """Exact (sin, cos) for a grid angle; sin^2 + cos^2 = 1 holds exactly.
+    Angles 3*m/2^k with k > 300 are refused at once with ValueError: each k
+    adds a radicand, and from k = 500 approx of the sine exhausts the stack."""
+    return _sin_cos_raw(*_degrees(angle, 300, "sin_cos"))
 
 
 def tan(angle) -> Constructible:
     """Exact tangent; undefined (and rejected) at 90 degrees.
-
-    Angles 3*m/2^k deeper than ``MAX_TRIG_DEPTH`` are refused with
-    ``ValueError`` before any work is done.
-    """
-    a = Angle.of(angle)
-    if a.degrees == 90:
+    Angles 3*m/2^k deeper than ``MAX_TRIG_DEPTH`` are refused at once with
+    ValueError."""
+    n, d = _degrees(angle, MAX_TRIG_DEPTH, "tan")
+    if n == 90:
         raise ValueError("tangent is undefined at 90 degrees")
-    depth = (a.degrees / 3).denominator.bit_length() - 1
-    if depth > MAX_TRIG_DEPTH:
-        raise ValueError(
-            f"{a.degrees} degrees is 3*m/2^{depth}; tan supports dyadic depth "
-            f"k <= {MAX_TRIG_DEPTH}"
-        )
-    s, c = sin_cos(a)
+    s, c = _sin_cos_raw(n, d)
     return s / c
 
 

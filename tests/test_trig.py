@@ -132,6 +132,19 @@ class TestRoute:
                 want = mp.sin(mp.radians(mp.mpf(3) / 2**k))
                 assert abs(mpf_of(s) - want) < mp.mpf(10) ** -50, k
 
+    def test_sin_cos_depth_cap(self, empty_memo):
+        # From k = 500 approx of sin(3/2^k) exhausts the stack, and from about
+        # k = 990 sin_cos itself does; k > 300 is refused before any work.
+        s, _ = sin_cos(Fraction(3, 2**300))
+        assert sign(s) == 1 and approx(s, 30) == "0." + "0" * 30
+        _, c = sin_cos(Fraction(3 * (30 * 2**300 - 1), 2**300))
+        assert s == c and hash(s) == hash(c)
+        empty_memo.clear()
+        for deg in (Fraction(3, 2**301), Fraction(3 * (30 * 2**301 - 1), 2**301)):
+            with pytest.raises(ValueError, match="3\\*m/2\\^301; sin_cos supports dyadic depth k <= 300"):
+                sin_cos(deg)
+        assert not empty_memo
+
     def test_no_node_outlives_the_memo_without_the_cyclic_gc(self, empty_memo):
         # A benchmark job starts from an empty memo; that holds only if every
         # tower node a job made is freed by reference counting alone.
