@@ -9,12 +9,13 @@ constructible numbers from strictly shallower extensions.
 
 Operands are coerced once, where they enter (the operators, `sign`, `sqrt`,
 `approx`, `parse`); all recursion below runs on private typed kernels with
-no operator dispatch.  `sign` (and hence equality and ordering) tries a
-160-bit integer enclosure before recursing on the tree, and only that exact
-recursion decides a zero; `approx` rounds correctly from enclosures of the
-value itself, from 160 bits up until they decide.  Each extension node keeps
-its enclosure for the last k asked, so subtrees shared between values, and
-sign and approx of one value, share it.  No floating point is used anywhere.
+no operator dispatch.  `sign` (and hence equality and ordering) owns the one
+precision ladder: integer enclosures from 160 bits, doubled while they
+straddle 0 and k < 16*depth, then the exact recursion on the tree, which
+alone decides a zero.  `approx` rounds correctly from enclosures of the value
+itself and hands a straddled rounding boundary to `sign`.  Each extension
+node keeps its enclosure for the last k asked, so shared subtrees, and sign
+and approx of one value, share it.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -420,10 +421,10 @@ _K = 160
 def sign(x) -> int:
     """Exact sign of ``x``: -1, 0 or +1, decided without floating point.
 
-    For ``a + b*sqrt(r)`` with disagreeing coefficient signs a 160-bit
-    enclosure is tried, then ``a^2`` versus ``b^2*r`` is recursed, which
-    strictly shrinks the set of radicands involved, so the recursion always
-    terminates.  Only the recursion decides a zero.
+    For ``a + b*sqrt(r)`` with disagreeing coefficient signs an enclosure is
+    tried from 160 bits, doubled while it straddles 0 and k < 16*depth; then
+    ``a^2`` versus ``b^2*r`` is recursed, which strictly shrinks the set of
+    radicands involved, so it terminates.  Only the recursion decides a zero.
     """
     return _sign(Constructible.of(x))
 
@@ -437,7 +438,10 @@ def _sign(x: Constructible) -> int:
             if sa * sb >= 0:
                 x._sign = sa or sb
             else:
-                lo, hi = _enclose(x, _K)
+                k, (lo, hi) = _K, _enclose(x, _K)
+                while lo <= 0 <= hi and k < 16 * _depth(x):
+                    k *= 2
+                    lo, hi = _enclose(x, k)
                 x._sign = (lo > 0) - (hi < 0) or sa * _sign(_norm(x.a, x.b, x.r))
     return x._sign
 
@@ -592,8 +596,8 @@ def _floor(x: Constructible, s: int, n: int) -> int:
     """floor(|x|*n) for ``x`` of sign ``s`` and an int ``n > 0``.
 
     The enclosure of ``x`` itself, at k from ``max(_K, 32 + n.bit_length())``
-    and doubling, is multiplied by n.  One narrower than 2**(k//2) that still
-    straddles an integer m is settled by exact ``sign(x - s*m/n)``."""
+    and doubling while it straddles two or more integers, is multiplied by n;
+    one straddled integer m is settled by ``_sign(x - s*m/n)``."""
     if s == 0:
         return 0
     if x.r is None:
@@ -605,7 +609,7 @@ def _floor(x: Constructible, s: int, n: int) -> int:
         m = hi >> k
         if lo >> k == m:
             return m
-        if hi - lo < 1 << (k // 2):
+        if lo >> k == m - 1:
             return m - (s * _sign(_sub(x, _mul_q(s * m, 1, 1, n))) < 0)
         k *= 2
 
@@ -614,9 +618,9 @@ def approx(x, digits: int) -> str:
     """Correctly rounded decimal string of ``x`` with ``digits`` places.
 
     The absolute error is below 10**-digits; exact ties round away from
-    zero.  Digits come from ``floor(2*|x|*10**digits)``, read from integer
-    enclosures of ``x`` itself (no scaled copy of the tree is built), so
-    they depend only on the value, never on its representation.
+    zero.  Digits are ``floor(2*|x|*10**digits)``, read from enclosures of
+    ``x`` itself (no scaled copy of the tree), so they depend only on the
+    value; one straddled rounding boundary is settled by `sign`.
     """
     x = Constructible.of(x)
     if digits < 1:

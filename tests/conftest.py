@@ -1,4 +1,4 @@
-"""Shared test oracles.
+"""Shared test oracles and a bounded child interpreter.
 
 The big-decimal oracle evaluates expression trees in mpmath at high
 precision, entirely apart from the exact tower engine, so sign and digit
@@ -7,15 +7,45 @@ comparisons between the two are meaningful cross-checks.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
+import pytest
 from mpmath import mp
 
 from straightedge.exactnum import Constructible, sign, sqrt
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 _OPS = ("add", "sub", "mul", "div", "neg", "sqrt")
+
+
+def run_fresh(code: str, timeout: float = 60):
+    """Run ``code`` in a new interpreter and return the JSON it prints last.
+
+    ``json`` and ``sys`` are imported for it.  The child's address space is
+    capped at 1 GiB and it is killed after ``timeout`` seconds, so a call
+    that runs away fails its test instead of hanging the run or filling the
+    machine's memory.
+    """
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + old if old else ""))
+    prelude = "import json, resource, sys\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2)\n"
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", prelude + code],
+            env=env, capture_output=True, text=True, timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"the child interpreter ran past {timeout} s")
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def random_tree(rng: random.Random, depth: int, root: bool = True):

@@ -8,8 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import eval_tree_exact, eval_tree_mpf, mpf_of, oracle_sign, random_tree, sample_values
-from straightedge import exactnum
+from conftest import (
+    eval_tree_exact,
+    eval_tree_mpf,
+    mpf_of,
+    oracle_sign,
+    random_tree,
+    run_fresh,
+    sample_values,
+)
+from straightedge import exactnum, trig
 from straightedge.exactnum import (
     Constructible,
     ONE,
@@ -20,6 +28,7 @@ from straightedge.exactnum import (
     sign,
     sqrt,
 )
+from straightedge.selfcheck import run_all_checks
 from straightedge.trig import sin_cos
 
 C = Constructible.of
@@ -222,6 +231,67 @@ class TestEnclose:
             assert x._enc is enclosure
         approx(x, 39)
         assert x._enc[0] > enclosure[0]
+
+    def test_shallow_values_take_only_the_first_rung(self, monkeypatch):
+        # Every value of the self-checks and of the k <= 3 grid has depth at
+        # most 9, below the first depth (11) whose ladder cap passes _K.
+        seen = set()
+        enclose = exactnum._enclose
+
+        def record(x, k):
+            seen.add(k)
+            return enclose(x, k)
+
+        monkeypatch.setattr(exactnum, "_enclose", record)
+        monkeypatch.setattr(trig, "_memo", {})
+        assert run_all_checks().ok
+        for k in range(4):
+            for m in range(1, 30 * 2**k + 1, 1 if k == 0 else 2):
+                trig._memo.clear()
+                deg = Fraction(3 * m, 2**k)
+                values = [*sin_cos(deg)] + ([trig.tan(deg)] if deg != 90 else [])
+                for v in values:
+                    approx(v, 30), hash(v), v == 1
+        assert seen == {exactnum._K}
+
+
+# cos(3/2^k degrees) lies about 2^-(2k + 9.5) below 1, past any fixed
+# enclosure.  Each read starts from an empty memo, so no read reuses the
+# enclosures another one refined.
+DEEP_READS = {
+    "c == 1": False,
+    "c < 1": True,
+    "sign(c - 1)": -1,
+    "bool(c - 1)": True,
+    "approx(c, 6)": "1.000000",
+    "approx(c, 30)": "1." + "0" * 30,
+    "hash(c) == hash(('Constructible', '1.' + '0' * 24))": True,
+    "float(c)": 1.0,
+}
+
+
+class TestDeepReads:
+    @pytest.mark.parametrize("k", [78, 150, 300])
+    def test_reads_of_a_cosine_near_one(self, k):
+        # A runaway exact recursion grew to 4.8 GB at k = 300: the child
+        # caps both its time and its memory.
+        got = run_fresh(
+            "import time\n"
+            "from fractions import Fraction\n"
+            "from straightedge import trig\n"
+            "from straightedge.exactnum import approx, sign\n"
+            "out = {}\n"
+            f"for read in {list(DEEP_READS)!r}:\n"
+            "    trig._memo.clear()\n"
+            f"    c = trig.sin_cos(Fraction(3, 2**{k}))[1]\n"
+            "    started = time.perf_counter()\n"
+            "    out[read] = [eval(read), time.perf_counter() - started]\n"
+            "print(json.dumps(out))",
+            timeout=30,
+        )
+        assert {read: value for read, (value, _) in got.items()} == DEEP_READS
+        slow = {read: seconds for read, (_, seconds) in got.items() if seconds > 2.0}
+        assert not slow, slow
 
 
 class TestHash:

@@ -4,17 +4,10 @@ Each check that looks at `sys.modules` runs in a fresh interpreter, because
 the test session has already imported every submodule.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
+from conftest import run_fresh
 import straightedge
-
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 # The public names of the package and the submodule that defines each one.
 PUBLIC = {
@@ -42,18 +35,6 @@ PUBLIC = {
 ALL_NAMES = sorted(name for names in PUBLIC.values() for name in names)
 
 LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'straightedge')"
-
-
-def run_fresh(code: str):
-    """Run ``code`` in a new interpreter and return the JSON it prints last."""
-    old = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + old if old else ""))
-    done = subprocess.run(
-        [sys.executable, "-c", "import json, sys\n" + code],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def test_import_loads_only_the_numeric_core():

@@ -22,8 +22,10 @@ from itertools import combinations
 from math import prod
 
 import pytest
+from mpmath import mp
 
-from straightedge.exactnum import Constructible, sign, sqrt
+from conftest import run_fresh
+from straightedge.exactnum import Constructible, _adjoin, _depth, sign, sqrt
 from straightedge.trig import sin_cos
 
 PRIMES = (2, 3, 5, 7)
@@ -82,3 +84,48 @@ def test_perturbed_zero_takes_the_sign_of_the_perturbation(name, zero, bits):
         assert sign(zero + eps) == s
         assert sign(zero + eps * radical) == s
         assert sign(eps - zero) == s
+
+
+# -- deep towers: values sympy cannot take, checked by other means -----------
+
+
+def deep_zero(k: int) -> Constructible:
+    """sqrt(2c) - sqrt(2)*sqrt(c) for c = cos(3/2^k degrees), adjoined as
+    written.  Both roots are positive and both square to 2c, so they are
+    equal and the difference is zero; it stays an extension node of depth
+    k + 6, because the tower does not see that sqrt(2c) is a product."""
+    c = sin_cos(Fraction(3, 2**k))[1]
+    return _adjoin(2 * c) - _adjoin(Constructible.of(2)) * _adjoin(c)
+
+
+@pytest.mark.parametrize("k", (20, 40))
+def test_deep_zero_takes_the_sign_of_its_nudge(k):
+    zero = deep_zero(k)
+    assert zero.r is not None and _depth(zero) == k + 6
+    assert sign(zero) == 0
+    for bits in (200, 1000, 2000):
+        for s in (1, -1):
+            eps = Constructible.of(Fraction(s, 2**bits))
+            assert sign(zero + eps) == s
+            assert sign(eps - zero) == s
+
+
+@pytest.mark.parametrize("k", (100, 200, 299))
+def test_deep_sine_difference_against_a_4000_bit_oracle(k):
+    # sin(x/2) - sin(x)/2 = sin(x/2)(1 - cos(x/2)), near 2^-(3k + 17) for
+    # x = 3/2^k degrees: nonzero, and far below any fixed enclosure.  The
+    # child caps time and memory: an exact recursion on it ran away.
+    is_node, s, digits = run_fresh(
+        "from fractions import Fraction\n"
+        "from straightedge.exactnum import approx, sign\n"
+        "from straightedge.trig import sin_cos\n"
+        f"d = sin_cos(Fraction(3, 2**{k + 1}))[0] - sin_cos(Fraction(3, 2**{k}))[0] / 2\n"
+        "print(json.dumps([d.r is not None, sign(d), approx(d, 300)]))",
+        timeout=30,
+    )
+    with mp.workprec(4000):
+        x = mp.radians(mp.mpf(3) / 2**k)
+        want = mp.sin(x / 2) - mp.sin(x) / 2
+        assert mp.mpf(2) ** -(3 * k + 17) < want < mp.mpf(2) ** -(3 * k + 16)
+        assert is_node and s == 1
+        assert abs(mp.mpf(digits) - want) <= mp.mpf(10) ** -300 / 2
