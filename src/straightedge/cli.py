@@ -180,7 +180,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("--svg", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
-    p.add_argument("--digits", type=int, default=5, help=f"SVG coordinate precision, 1..{ceiling}")
+    p.add_argument(
+        "--digits", type=int, default=5,
+        help="places (plus 4 guard places) of the decimal each SVG pixel coordinate "
+        f"is rounded from; pixels print to 2 decimals; 1..{ceiling}",
+    )
     p.add_argument("--no-labels", action="store_true")
     p.set_defaults(func=_cmd_construct)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from functools import cmp_to_key
+from operator import index
 
 from .exactnum import ONE, ZERO, _Record, parse, sign
 from .geom import (
@@ -84,6 +85,7 @@ class Polygon(_Record):
     __slots__ = _fields = ("n", "vertices", "center")
 
     def __init__(self, n: int, vertices: tuple[Point, ...], center: Point):
+        n = index(n)
         if n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
         if len(vertices) != n:
@@ -98,9 +100,7 @@ _ON_SEGMENT = re.compile(r"on-segment\(([^,()]+),([^,()]+)\)")
 
 
 def _between(value, lo, hi) -> bool:
-    if sign(lo - hi) > 0:
-        lo, hi = hi, lo
-    return sign(value - lo) >= 0 and sign(hi - value) >= 0
+    return sign(value - lo) * sign(value - hi) <= 0
 
 
 def _apply_selector(
@@ -416,6 +416,7 @@ def construct_polygon(n: int) -> tuple[Polygon, Trace]:
     Vertices are returned counterclockwise starting from (1, 0), together
     with the full compass-and-straightedge trace that produced them.
     """
+    n = index(n)
     if n not in SUPPORTED_POLYGONS:
         raise ValueError(
             f"no construction program for n = {n}; supported: "

@@ -25,6 +25,7 @@ from collections import Counter
 from functools import cache
 from itertools import compress
 from math import gcd, isqrt
+from operator import index
 
 from .exactnum import _Record
 
@@ -109,6 +110,7 @@ def smallest_prime_factor(m: int) -> int:
     A larger one needs the whole factorization, so the ValueError of
     `factorize` can come from a cofactor above the smallest prime.
     """
+    m = index(m)
     if m < 2:
         raise ValueError("need an integer >= 2")
     for p in _trial_primes():
@@ -125,6 +127,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
     Raises ValueError when a cofactor is too large, passes every witness
     beyond the proven primality range, or is not split within the rho budget.
     """
+    m = index(m)
     if m < 1:
         raise ValueError("need a positive integer")
     primes: list[int] = []
@@ -242,6 +245,7 @@ def _is_prime(m: int) -> bool:
 
 def fermat_exponent(p: int) -> int | None:
     """The s with p = 2^(2^s) + 1 if p is a Fermat prime, else None."""
+    p = index(p)
     if p < 2:
         raise ValueError("need an integer >= 2")
     s = _fermat_index(p)
@@ -254,6 +258,7 @@ def is_fermat_prime(p: int) -> bool:
 
 def gauss_constructible(n: int) -> Verdict:
     """Decide constructibility of the regular n-gon, with certificate."""
+    n = index(n)
     if n < 3:
         raise ValueError("polygons need n >= 3")
     two_exponent = 0

@@ -146,8 +146,6 @@ class Constructible:
             return True
         if self.r is None and other.r is None:
             return self.a == other.a and self.b == other.b
-        if _render(self) == _render(other):
-            return True
         return _sign(_sub(self, other)) == 0
 
     def __lt__(self, other) -> bool:
@@ -506,15 +504,13 @@ def _sqrt_within(x: Constructible):
     s = _sqrt_within(_norm(a, b, r))
     if s is None:
         return None
+    # b != 0 and r > 0 keep c_sq (0 would need b^2*r = 0), c and d off 0; a
+    # c_sq < 0 (x is a zero-valued extension) returns None at the call's top.
     for c_sq in (_scaled(_add(a, s), 1, 2), _scaled(_sub(a, s), 1, 2)):
-        if _sign(c_sq) <= 0:
-            continue
         c = _sqrt_within(c_sq)
-        if c is None or _sign(c) == 0:
-            continue
-        d = _div(b, _scaled(c, 2))
-        root = Constructible(c, d, r) if _sign(d) != 0 else c
-        return root if _sign(root) >= 0 else _neg(root)
+        if c is not None:
+            root = Constructible(c, _div(b, _scaled(c, 2)), r)
+            return root if _sign(root) >= 0 else _neg(root)
     return None
 
 
@@ -552,7 +548,7 @@ def _adjoin(x: Constructible) -> Constructible:
         delta = a * a - b * b * rr
         if delta > 0:
             e = isqrt(delta)
-            if e * e == delta and a >= e:  # u, v = (a +- e)/2 >= 0
+            if e * e == delta:  # radicand, delta > 0 force a > e: u, v > 0
                 root_v = sqrt(_mul_q(a - e, 1, 1, 2))
                 cand = _add(sqrt(_mul_q(a + e, 1, 1, 2)), root_v if b > 0 else _neg(root_v))
                 return _scaled(cand, coef.a, coef.b)

@@ -11,7 +11,6 @@ identity phi^2 = phi + 1 does all the work.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from itertools import combinations
 
 from .exactnum import Constructible, ONE, ZERO, _Record, approx, sign, sqrt
@@ -29,9 +28,6 @@ __all__ = [
 ]
 
 PHI = (1 + sqrt(5)) / 2
-
-# Orders values by exact comparison; min and max keep the first extreme.
-_exact = cmp_to_key(lambda u, v: sign(u - v))
 
 
 class Point3(_Record):
@@ -128,18 +124,14 @@ def build_icosahedron() -> IcosaMesh:
         (i, j): dist_sq3(vertices[i], vertices[j])
         for i, j in combinations(range(len(vertices)), 2)
     }
-    minimal = min(pair_dist.values(), key=_exact)
+    minimal = min(pair_dist.values())
     edges = tuple(
         pair for pair, d in pair_dist.items() if sign(d - minimal) == 0
     )
     adjacent = set(edges)
-
-    def linked(i: int, j: int) -> bool:
-        return (i, j) in adjacent if i < j else (j, i) in adjacent
-
     faces = []
     for i, j, k in combinations(range(len(vertices)), 3):
-        if linked(i, j) and linked(j, k) and linked(i, k):
+        if (i, j) in adjacent and (j, k) in adjacent and (i, k) in adjacent:
             # Orient the triangle so its normal points away from the origin.
             u = _sub(vertices[j], vertices[i])
             v = _sub(vertices[k], vertices[i])
@@ -197,7 +189,7 @@ def _neighbor_pentagon_checks(mesh: IcosaMesh, checks: list[Check]) -> None:
         # The ten pairwise distances split 5/5 into sides and diagonals with
         # diagonal = phi * side: the golden-ratio pentagon relation.
         dists = [dist_sq3(p, q) for p, q in combinations(pts, 2)]
-        side, diag = min(dists, key=_exact), max(dists, key=_exact)
+        side, diag = min(dists), max(dists)
         sides = sum(1 for d in dists if sign(d - side) == 0)
         diags = sum(1 for d in dists if sign(d - diag) == 0)
         golden = (

@@ -71,8 +71,7 @@ def run_all_checks() -> Report:
         polygons[n] = poly
         checks.append(Check(f"constructed {n}-gon is exactly regular", verify_regular(poly).ok))
         closed = all(
-            sign(v.x - point_on_circle(Fraction(360 * k, n))[0]) == 0
-            and sign(v.y - point_on_circle(Fraction(360 * k, n))[1]) == 0
+            (v.x, v.y) == point_on_circle(Fraction(360 * k, n))
             for k, v in enumerate(poly.vertices)
         )
         checks.append(Check(f"{n}-gon vertices match (cos, sin) closed forms", closed))

@@ -1,11 +1,13 @@
 """Deterministic SVG rendering of construction traces.
 
 Every diagram is a 640 x 640 pixel frame with the unit circle centered in
-it, 40 pixels from each edge.  Coordinates are flattened through the exact
-decimal printer to ``RenderConfig.digits`` places (plus guard digits) and
-all pixel arithmetic is done in rationals, so two renders of the same trace
-are byte-identical.  The y-axis is flipped so the diagrams read in the
-usual mathematical orientation.
+it, 40 pixels from each edge.  Each coordinate is read out by the exact
+decimal printer to ``RenderConfig.digits + 4`` places, scaled to pixels in
+rationals and printed to 2 decimals, so two renders of the same trace are
+byte-identical.  ``digits`` only sets the guard precision of that read-out:
+the six supported polygons render the same bytes at every digits >= 3.
+The y-axis is flipped so the diagrams read in the usual mathematical
+orientation.
 """
 
 from __future__ import annotations

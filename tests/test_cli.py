@@ -83,11 +83,17 @@ class TestDispatch:
     def test_trig_off_grid(self, capsys):
         assert main(["trig", "1"]) == 1
         assert "3*m/2^k" in capsys.readouterr().err
+        assert main(["trig", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot read 'abc' as a rational number of degrees\n"
 
     def test_constructible(self, capsys):
         assert main(["constructible", "7"]) == 0
         out = capsys.readouterr().out
         assert "not constructible (7 is not a Fermat prime)" in out
+        assert main(["constructible", "9"]) == 0
+        out = capsys.readouterr().out
+        assert "9: not constructible (3 divides n more than once)" in out
 
     def test_icosahedron_obj(self, tmp_path, capsys):
         obj = tmp_path / "ico.obj"

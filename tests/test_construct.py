@@ -117,13 +117,19 @@ class TestTrace:
         ("c1", lambda step: step.pop("inputs")),
         ("A", lambda step: step["coords"].pop("y")),
         ("m", lambda step: step.update(inputs=[step["inputs"][:1], step["inputs"][1]])),
+        ("m", lambda step: step.update(kind="ray")),
+        ("T", lambda step: step.update(selector="upper")),
+        ("IF", lambda step: step.update(inputs=["mD", "m"])),
+        ("mB", lambda step: step.update(output="m")),
     ], ids=["unbound input", "unbound segment end", "line of three points",
             "select on a line", "point without coords", "intersect a point",
-            "step without inputs", "coords without y", "list as a label"])
+            "step without inputs", "coords without y", "list as a label",
+            "unknown kind", "unknown selector", "parallel lines", "duplicate label"])
     def test_replay_rejects_a_malformed_trace(self, label, change):
         data = trace_to_dict(construct_polygon(5)[1])
         change(next(step for step in data["steps"] if step["output"] == label))
-        with pytest.raises(ValueError, match=re.escape(f"step {label!r}")):
+        message = {"IF": "parallel lines do not intersect", "mB": "duplicate label 'm'"}
+        with pytest.raises(ValueError, match=re.escape(message.get(label, f"step {label!r}"))):
             replay(steps_from_dict(data))
 
     def test_steps_from_dict_rejects_an_entry_that_is_not_an_object(self):

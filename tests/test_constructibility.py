@@ -3,12 +3,14 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from straightedge import constructibility
 from straightedge.cli import main
+from straightedge.construct import Polygon, construct_polygon
 from straightedge.constructibility import (
     KNOWN_FERMAT_PRIMES,
     factorize,
@@ -144,6 +146,19 @@ class TestFactorize:
 
     def test_sorted_primes(self):
         assert factorize(60) == [(2, 2), (3, 1), (5, 1)]
+        with pytest.raises(ValueError, match="positive"):
+            factorize(0)
+
+
+@pytest.mark.parametrize("count", [5.0, Fraction(5), "5"], ids=["float", "Fraction", "str"])
+@pytest.mark.parametrize("entry", [
+    construct_polygon, lambda n: Polygon(n, (), None), gauss_constructible, factorize,
+    smallest_prime_factor, fermat_exponent, is_fermat_prime,
+], ids=["construct_polygon", "Polygon", "gauss_constructible", "factorize",
+        "smallest_prime_factor", "fermat_exponent", "is_fermat_prime"])
+def test_counts_must_be_ints(entry, count):
+    with pytest.raises(TypeError):
+        entry(count)
 
 
 def trial_division_spf(m: int) -> int:

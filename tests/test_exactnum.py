@@ -127,10 +127,29 @@ class TestSign:
         half_angle = sqrt((1 - (1 + sqrt(5)) / 4) / 2)
         assert sign(half_angle - s18) == 0
 
-    def test_trichotomy(self):
-        for x in sample_values(40):
+    def test_trichotomy(self, monkeypatch):
+        values = sample_values(40)
+        for x, y in zip(values, values[1:] + values[:1]):
             signs = [sign(x) == s for s in (-1, 0, 1)]
             assert sum(signs) == 1
+            assert bool(x) == (sign(x) != 0) and +x is x
+            assert sign(abs(x)) == abs(sign(x))
+            assert sign(abs(x) - x) == 0 if sign(x) >= 0 else sign(abs(x) + x) == 0
+            if x.is_rational and y.is_rational:
+                continue
+            s = sign(x - y)
+            assert (x < y, x <= y, x == y, x != y, x >= y, x > y) == (
+                s < 0, s <= 0, s == 0, s != 0, s >= 0, s > 0
+            )
+        # Two builds from an empty memo share no node: == subtracts them.
+        monkeypatch.setattr(trig, "_memo", {})
+        built = []
+        for _ in range(2):
+            trig._memo.clear()
+            built.append(trig.sin_cos(Fraction(3, 2**40)))
+        (s1, c1), (s2, c2) = built
+        assert s1 is not s2 and str(s1) == str(s2)
+        assert s1 == s2 and c1 == c2 and s1 != c2
 
     def test_close_comparison(self):
         # sqrt(2) + sqrt(3) versus sqrt(5 + 2*sqrt(6)): equal exactly

@@ -74,6 +74,12 @@ class TestLineCircle:
     def test_tangent(self):
         tangent = Line(Point.of(1, -1), Point.of(1, 1))
         assert intersect_line_circle(tangent, UNIT) == [A]
+        # the touch point is not 0 or +-1, so no Vieta peel finds it
+        top = Line(Point.of(0, 1), Point.of(1, 1))
+        shifted = Circle(Point.of(Fraction(1, 2), 0), Point.of(Fraction(3, 2), 0))
+        touch = intersect_line_circle(top, shifted)
+        assert touch == [Point.of(Fraction(1, 2), 1)] and shifted.contains(touch[0])
+        assert not shifted.contains(O) and str(touch[0]) == "(1/2, 1)"
 
     def test_miss(self):
         far = Line(Point.of(2, -1), Point.of(2, 1))

@@ -58,6 +58,8 @@ class TestLeafAgainstFraction:
         assert sign(C(p)) == (p > 0) - (p < 0)
         assert (C(p) == C(q)) == (p == q)
         assert (C(p) < C(q)) == (p < q)
+        assert (C(p) <= C(q), C(p) > C(q), C(p) >= C(q)) == (p <= q, p > q, p >= q)
+        assert bool(C(p)) == bool(p) and +C(p) == p and abs(C(p)) == abs(p)
         assert C(p) == p
         assert hash(C(p)) == hash(p)
 

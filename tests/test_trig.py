@@ -52,6 +52,9 @@ class TestAngleGrid:
     def test_off_grid_fraction(self):
         with pytest.raises(ValueError):
             Angle(Fraction(10, 3))
+        with pytest.raises(TypeError):
+            Angle.of(1.5)
+        assert str(Angle.of("45/2")) == "45/2°"
 
 
 class TestTables:
