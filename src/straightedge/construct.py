@@ -151,9 +151,12 @@ def _evaluate(step: Step, bindings: dict):
 
     The step may come from outside the program, so its kind, the number and
     class of its inputs and the binding of every label it names are checked
-    first; a malformed step raises ValueError.
+    first; a malformed step, or one whose construction fails, raises
+    ValueError naming the step.
     """
     where = f"step {step.output!r} ({step.kind})"
+    if step.output in bindings:
+        raise ValueError(f"{where}: duplicate label {step.output!r}")
     if step.kind not in _INPUTS:
         raise ValueError(f"{where}: unknown step kind")
     labels, classes = list(step.inputs), _INPUTS[step.kind]
@@ -171,17 +174,20 @@ def _evaluate(step: Step, bindings: dict):
         if not isinstance(bindings[label], cls):
             raise ValueError(f"{where}: {label!r} is a {type(bindings[label]).__name__}")
     args = [bindings[label] for label in labels]
-    if step.kind == "place-point":
-        if step.coords is None:
-            raise ValueError(f"{where}: no coords")
-        return Point(parse(step.coords[0]), parse(step.coords[1]))
-    if step.kind == "line":
-        return Line(*args)
-    if step.kind == "circle":
-        return Circle(*args)
-    if step.kind == "intersect":
-        return _intersect_objects(*args)
-    return _apply_selector(step.selector, *args)
+    if step.kind == "place-point" and step.coords is None:
+        raise ValueError(f"{where}: no coords")
+    try:
+        if step.kind == "place-point":
+            return Point(parse(step.coords[0]), parse(step.coords[1]))
+        if step.kind == "line":
+            return Line(*args)
+        if step.kind == "circle":
+            return Circle(*args)
+        if step.kind == "intersect":
+            return _intersect_objects(*args)
+        return _apply_selector(step.selector, *args)
+    except ValueError as err:
+        raise ValueError(f"{where}: {err}") from None
 
 
 # -- trace building ------------------------------------------------------------
@@ -193,8 +199,6 @@ class _Builder:
         self.bindings: dict[str, object] = {}
 
     def run(self, step: Step):
-        if step.output in self.bindings:
-            raise ValueError(f"duplicate label {step.output!r}")
         obj = _evaluate(step, self.bindings)
         self.steps.append(step)
         self.bindings[step.output] = obj
@@ -254,7 +258,9 @@ def replay(steps: list[Step]) -> Trace:
     """Re-execute a step list from scratch; bindings are rebuilt exactly.
 
     A malformed step (unknown kind, wrong number or class of inputs, an
-    unbound label, a place-point without coords) raises ValueError."""
+    unbound or repeated label, a place-point without coords) or one whose
+    construction fails (parallel lines, a selector that does not single out
+    one point) raises ValueError naming the step."""
     b = _Builder()
     for step in steps:
         b.run(step)

@@ -299,9 +299,11 @@ def _render(x: Constructible) -> str:
 #
 # Operands are coerced once, by the dunders and public functions; below them
 # the kernels _add, _sub, _mul, _div, _neg and _sign take Constructibles, hold
-# the rational fast paths and call _tower_binary otherwise.  It splits both
-# operands at the higher of their top radicands r (by depth, then rendering,
-# rendered only when the two are distinct objects): x = a + b*sqrt(r), with
+# the rational fast paths and call _tower_binary otherwise.  Nodes are
+# immutable, so adding or subtracting a rational 0 and scaling by 1 hand back
+# the operand itself, caches and all.  _tower_binary splits both operands at
+# the higher of their top radicands r (by depth, then rendering, rendered
+# only when two distinct objects tie on depth): x = a + b*sqrt(r), with
 # b = ZERO when x does not reach r.  It recurses on the parts through the
 # kernels and rejoins them as lo + hi*sqrt(r), or as lo alone when hi is 0.
 # A quotient is the dividend times the divisor's conjugate a - b*sqrt(r), each
@@ -312,13 +314,15 @@ def _render(x: Constructible) -> str:
 
 def _add(x: Constructible, y: Constructible) -> Constructible:
     if x.r is None and y.r is None:
-        return _add_q(x.a, x.b, y.a, y.b)
+        if x.a == 0:
+            return y
+        return x if y.a == 0 else _add_q(x.a, x.b, y.a, y.b)
     return _tower_binary(x, y, "add")
 
 
 def _sub(x: Constructible, y: Constructible) -> Constructible:
     if x.r is None and y.r is None:
-        return _add_q(x.a, x.b, -y.a, y.b)
+        return x if y.a == 0 else _add_q(x.a, x.b, -y.a, y.b)
     return _tower_binary(x, y, "sub")
 
 
@@ -369,8 +373,10 @@ def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
         r = y.r
     elif y.r is None:
         r = x.r
-    else:
-        r = max(x.r, y.r, key=lambda t: (_depth(t), _render(t)))
+    else:  # the deeper radicand, then the later rendering; x.r on a tie
+        r, dx, dy = x.r, _depth(x.r), _depth(y.r)
+        if dy > dx or (dy == dx and _render(y.r) > _render(r)):
+            r = y.r
     a1, b1 = _split(x, r)
     a2, b2 = _split(y, r)
     if op == "add":
@@ -402,11 +408,13 @@ def _tower_binary(x: Constructible, y: Constructible, op: str) -> Constructible:
 
 def _scaled(x: Constructible, n: int, d: int = 1) -> Constructible:
     # Multiply by the rational n/d (lowest terms, d > 0) without rebuilding
-    # the tower.
+    # the tower; a scale of 1, or a rational 0, hands back x itself.
     if n == 0:
         return ZERO
+    if n == d:
+        return x
     if x.r is None:
-        return _mul_q(x.a, x.b, n, d)
+        return x if x.a == 0 else _mul_q(x.a, x.b, n, d)
     return Constructible(_scaled(x.a, n, d), _scaled(x.b, n, d), x.r)
 
 

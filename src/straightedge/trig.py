@@ -2,8 +2,11 @@
 
 Supported angles are ``3*m / 2**k`` degrees in (0, 90]: everything a
 straightedge and compass can reach starting from the 18/30/45 degree seed
-values.  36 and 90 are the doubles of 18 and 45, an integer angle above 45
-is the complement of 90 - deg, 15 = 45 - 30, and any other integer angle 3m
+values.  The seeds are built directly as the nodes `exactnum._adjoin` gives
+for sqrt 5, sqrt 3, sqrt 2 and sqrt(10 + 2*sqrt 5), with the same shapes and
+the same shared radicand 5, afresh whenever the memo is empty.  36 and 90
+are the doubles of 18 and 45, an integer angle above 45 is the complement
+of 90 - deg, 15 = 45 - 30, and any other integer angle 3m
 is one sum formula 18i +- 15|j| (i = m mod 5) of an 18-degree multiple, in
 Q(sqrt 5, sqrt(10 + 2*sqrt 5)), and a 15-degree one, in Q(sqrt 2, sqrt 3).
 From an empty memo an integer angle takes at most 5 derived steps, at 51.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .exactnum import Constructible, ONE, ZERO, _Record, _adjoin, _scaled, sign
+from .exactnum import Constructible, ONE, ZERO, _Record, _adjoin, sign
 
 __all__ = [
     "Angle",
@@ -32,9 +35,9 @@ __all__ = [
 ]
 
 
-def _on_grid(degrees: Fraction) -> bool:
-    step = degrees / 3
-    return step > 0 and step.denominator & (step.denominator - 1) == 0
+def _on_grid(n: int, d: int) -> bool:
+    """Whether n/d degrees (lowest terms, d > 0) is a positive 3*m/2^k."""
+    return n > 0 and n % 3 == 0 and d & (d - 1) == 0
 
 
 class Angle(_Record):
@@ -45,9 +48,10 @@ class Angle(_Record):
     def __init__(self, degrees: Fraction):
         if not isinstance(degrees, Fraction):
             raise TypeError("degrees must be a Fraction")
-        if not (0 < degrees <= 90):
+        n, d = degrees.numerator, degrees.denominator
+        if not 0 < n <= 90 * d:
             raise ValueError(f"{degrees} degrees is outside (0, 90]")
-        if not _on_grid(degrees):
+        if not _on_grid(n, d):
             raise ValueError(
                 f"{degrees} degrees is off the constructible grid 3*m/2^k"
             )
@@ -75,12 +79,18 @@ _memo_lock = threading.RLock()
 
 
 def _seed_values() -> dict[tuple[int, int], tuple[Constructible, Constructible]]:
-    # Each root adjoined once: none of 5, 3, 2, 10 + 2*sqrt(5) has one in its tower.
-    s5 = _adjoin(Constructible(5))
-    half_s2 = _scaled(_adjoin(Constructible(2)), 1, 2)
+    # The nodes _adjoin would give for sqrt of 5, 3, 2 and 10 + 2*sqrt(5) (no
+    # root of one lies in its own tower), built directly: sin 18 and the
+    # radicand of cos 18 share the radicand 5, and the 45-degree pair is one node.
+    quarter, half = Constructible(1, 4), Constructible(1, 2)
+    r5 = Constructible(5)
+    half_s2 = Constructible(ZERO, half, Constructible(2))
     return {
-        (18, 1): (_scaled(s5 - 1, 1, 4), _scaled(_adjoin(10 + 2 * s5), 1, 4)),
-        (30, 1): (Constructible(1, 2), _scaled(_adjoin(Constructible(3)), 1, 2)),
+        (18, 1): (
+            Constructible(Constructible(-1, 4), quarter, r5),
+            Constructible(ZERO, quarter, Constructible(Constructible(10), Constructible(2), r5)),
+        ),
+        (30, 1): (half, Constructible(ZERO, half, Constructible(3))),
         (45, 1): (half_s2, half_s2),
     }
 
@@ -150,7 +160,7 @@ def side_length(n: int) -> Constructible:
     if not isinstance(n, int) or n < 3:
         raise ValueError("n must be an integer >= 3")
     deg = Fraction(180, n)
-    if not _on_grid(deg):
+    if not _on_grid(deg.numerator, deg.denominator):
         raise ValueError(
             f"180/{n} = {deg} degrees is off the constructible grid 3*m/2^k"
         )

@@ -121,14 +121,20 @@ class TestTrace:
         ("T", lambda step: step.update(selector="upper")),
         ("IF", lambda step: step.update(inputs=["mD", "m"])),
         ("mB", lambda step: step.update(output="m")),
+        ("C", lambda step: step.update(selector="on-segment(O,A)")),
     ], ids=["unbound input", "unbound segment end", "line of three points",
             "select on a line", "point without coords", "intersect a point",
             "step without inputs", "coords without y", "list as a label",
-            "unknown kind", "unknown selector", "parallel lines", "duplicate label"])
+            "unknown kind", "unknown selector", "parallel lines", "duplicate label",
+            "selector matches no point"])
     def test_replay_rejects_a_malformed_trace(self, label, change):
         data = trace_to_dict(construct_polygon(5)[1])
         change(next(step for step in data["steps"] if step["output"] == label))
-        message = {"IF": "parallel lines do not intersect", "mB": "duplicate label 'm'"}
+        message = {
+            "IF": "step 'IF' (intersect): parallel lines do not intersect",
+            "mB": "step 'm' (line): duplicate label 'm'",
+            "C": "step 'C' (select): selector 'on-segment(O,A)' matched 0 of 2 points",
+        }
         with pytest.raises(ValueError, match=re.escape(message.get(label, f"step {label!r}"))):
             replay(steps_from_dict(data))
 

@@ -472,6 +472,26 @@ class TestOldPathDifferential:
         for i, (g, w) in enumerate(zip(got, want)):
             assert g == w, f"line {i + 1}"
 
+    def test_identity_operands_keep_the_rendering(self):
+        # x + 0, 0 + x, x - 0, x*1, 1*x and x/1 hand back x: each must render
+        # as the frozen line of x and read as mpmath's value of x's tree; 0*x
+        # and x*0 must be 0.  Both the module constants and fresh operands.
+        want = RENDERINGS.read_text().splitlines()
+        values = rendering_battery()
+        zeros, ones = (ZERO, C(0), C(Fraction(0)), C(1) - 1), (ONE, C(1), C(Fraction(3, 3)))
+        with mp.workdps(60):
+            for i, (x, w) in enumerate(zip(values, want)):
+                same = [x + z for z in zeros] + [z + x for z in zeros] + [x - z for z in zeros]
+                same += [x * u for u in ones] + [u * x for u in ones] + [x / u for u in ones]
+                same += [x + 0, 0 + x, x - 0, x * 1, 1 * x, x / 1]
+                assert {str(y) for y in same} == {w}, f"line {i + 1}"
+                oracle = mpf_of(x)
+                for y in same:
+                    assert abs(mp.mpf(approx(y, 40)) - oracle) < mp.mpf(10) ** -40, f"line {i + 1}"
+                zero = [z * x for z in zeros] + [x * z for z in zeros] + [0 * x, x * 0]
+                assert {str(y) for y in zero} == {"0"} and not any(zero), f"line {i + 1}"
+        assert {x.is_rational for x in values} == {True, False}
+
 
 def approx_battery() -> list[str]:
     """Decimals frozen in golden/approx.txt.

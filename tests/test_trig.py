@@ -10,7 +10,7 @@ from mpmath import mp
 
 from conftest import mpf_of
 from straightedge import trig
-from straightedge.exactnum import Constructible, _sqrt_within, approx, sign, sqrt
+from straightedge.exactnum import Constructible, _adjoin, _scaled, _sqrt_within, approx, sign, sqrt
 from straightedge.trig import (
     Angle,
     max_building_height,
@@ -173,6 +173,40 @@ class TestRoute:
         finally:
             if enabled:
                 gc.enable()
+
+    @pytest.mark.parametrize("angle, most", [("9", 186), ("45/2", 60), ("3/8", 1132), ("261/4", 513)])
+    def test_nodes_built_for_one_job(self, empty_memo, monkeypatch, angle, most):
+        # Adding or subtracting a rational 0 and scaling by 1 hand back the
+        # operand, and the seeds are built as nodes: 278, 104, 1340 and 637
+        # nodes when each identity op and each seed root built a fresh tree.
+        built = []
+        init = Constructible.__init__
+
+        def counting(self, *args):
+            built.append(None)
+            init(self, *args)
+
+        monkeypatch.setattr(Constructible, "__init__", counting)
+        s, c = sin_cos(angle)
+        for x in (s, c, tan(angle)):
+            approx(x, 30)
+        assert len(built) <= most
+
+    def test_seeds_are_the_roots_adjoin_gives(self):
+        s5 = _adjoin(Constructible.of(5))
+        half_s2 = _scaled(_adjoin(Constructible.of(2)), 1, 2)
+        adjoined = {
+            (18, 1): (_scaled(s5 - 1, 1, 4), _scaled(_adjoin(10 + 2 * s5), 1, 4)),
+            (30, 1): (Constructible.of(Fraction(1, 2)), _scaled(_adjoin(Constructible.of(3)), 1, 2)),
+            (45, 1): (half_s2, half_s2),
+        }
+        seeds = trig._seed_values()
+        assert seeds.keys() == adjoined.keys()
+        for key, pair in adjoined.items():
+            assert [str(x) for x in seeds[key]] == [str(x) for x in pair], key
+        for table in (seeds, adjoined):
+            (s18, c18), (s45, c45) = table[18, 1], table[45, 1]
+            assert str(s18.r) == "5" and c18.r.r is s18.r and s45 is c45
 
     def test_integer_angles_against_oracle(self):
         with mp.workdps(60):
