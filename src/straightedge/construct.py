@@ -1,27 +1,28 @@
 """Replayable straightedge-and-compass programs for regular polygons.
 
-A construction is a trace: an ordered list of primitive steps (place the
-two seed points, draw a line, set the compass, intersect, select one
-intersection by an explicit rule).  Replaying the steps from scratch
-rebuilds every labeled object exactly, and the only numeric literals in any
-trace are the seed points A = (1, 0) and A' = (-1, 0); every other object
-is an intersection.
+A construction is a declared list of primitive steps (place the two seed
+points, draw a line, set the compass, intersect, select one intersection by
+an explicit rule) together with its vertex labels in counterclockwise
+order; `construct_polygon` replays the list and reads the vertices off the
+bindings.  `replay` is the one executor, so a trace read back from JSON
+rebuilds every labeled object exactly as the program did.  The only numeric
+literals in any trace are the seed points A = (1, 0) and A' = (-1, 0);
+every other object is an intersection.
 
 Supported polygons: the triangle and square from the classical mediatrix
 moves, the pentagon via the golden-ratio compass program, and the hexagon,
-decagon and icosagon obtained by running the same programs simultaneously
-from several anchors.  Doubling any polygon (side mediatrices against the
-circumcircle) covers the n -> 2n rule.
+decagon and icosagon obtained by running the same programs from several
+anchors.  Doubling any polygon (side mediatrices against the circumcircle)
+covers the n -> 2n rule.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from functools import cmp_to_key
 from operator import index
 
-from .exactnum import ONE, ZERO, _Record, parse, sign
+from .exactnum import _Record, parse, sign
 from .geom import (
     Circle,
     Line,
@@ -193,67 +194,6 @@ def _evaluate(step: Step, bindings: dict):
 # -- trace building ------------------------------------------------------------
 
 
-class _Builder:
-    def __init__(self):
-        self.steps: list[Step] = []
-        self.bindings: dict[str, object] = {}
-
-    def run(self, step: Step):
-        obj = _evaluate(step, self.bindings)
-        self.steps.append(step)
-        self.bindings[step.output] = obj
-        return obj
-
-    def place(self, label: str, x, y) -> Point:
-        return self.run(Step("place-point", (), label, coords=(str(x), str(y))))
-
-    def line(self, label: str, p: str, q: str) -> Line:
-        return self.run(Step("line", (p, q), label))
-
-    def circle(self, label: str, center: str, through: str) -> Circle:
-        return self.run(Step("circle", (center, through), label))
-
-    def intersect(self, label: str, o1: str, o2: str):
-        return self.run(Step("intersect", (o1, o2), label))
-
-    def select(self, label: str, pair: str, selector: str) -> Point:
-        return self.run(Step("select", (pair,), label, selector=selector))
-
-    def select_wanted(self, label: str, pair: str, wanted: Point) -> Point:
-        """Pick a selector that singles out ``wanted`` among the candidates."""
-        candidates = self.bindings[pair]
-        signs = [sign(p.y) for p in candidates]
-        if len(candidates) == 2 and signs[0] * signs[1] < 0:
-            selector = "positive-y" if sign(wanted.y) > 0 else "negative-y"
-        elif wanted == candidates[0]:
-            selector = "lex-min"
-        else:
-            selector = "lex-max"
-        pt = self.select(label, pair, selector)
-        if pt != wanted:
-            raise AssertionError(f"selector {selector} picked the wrong point")
-        return pt
-
-    def select_other(self, label: str, pair: str, avoid: Point) -> Point:
-        others = [p for p in self.bindings[pair] if p != avoid]
-        if len(others) != 1:
-            raise AssertionError("expected exactly one non-anchor intersection")
-        return self.select_wanted(label, pair, others[0])
-
-    def mediatrix(self, label: str, p: str, q: str, aux: str) -> Line:
-        """Perpendicular bisector of p q by the two-circle move; ``aux`` is a
-        prefix for the helper labels."""
-        self.circle(f"{aux}1", p, q)
-        self.circle(f"{aux}2", q, p)
-        self.intersect(f"{aux}X", f"{aux}1", f"{aux}2")
-        self.select(f"{aux}P", f"{aux}X", "lex-min")
-        self.select(f"{aux}Q", f"{aux}X", "lex-max")
-        return self.line(label, f"{aux}P", f"{aux}Q")
-
-    def trace(self) -> Trace:
-        return Trace(list(self.steps), dict(self.bindings))
-
-
 def replay(steps: list[Step]) -> Trace:
     """Re-execute a step list from scratch; bindings are rebuilt exactly.
 
@@ -261,10 +201,10 @@ def replay(steps: list[Step]) -> Trace:
     unbound or repeated label, a place-point without coords) or one whose
     construction fails (parallel lines, a selector that does not single out
     one point) raises ValueError naming the step."""
-    b = _Builder()
+    bindings: dict[str, object] = {}
     for step in steps:
-        b.run(step)
-    return b.trace()
+        bindings[step.output] = _evaluate(step, bindings)
+    return Trace(list(steps), bindings)
 
 
 # -- trace serialization --------------------------------------------------------
@@ -332,88 +272,127 @@ def steps_from_dict(data: dict) -> list[Step]:
     return steps
 
 
-# -- vertex ordering -------------------------------------------------------------
-
-
-def _arc_bucket(p: Point) -> int:
-    sy = sign(p.y)
-    if sy == 0:
-        return 0 if sign(p.x) > 0 else 2
-    return 1 if sy > 0 else 3
-
-
-def _cmp_ccw(p: Point, q: Point) -> int:
-    b1, b2 = _arc_bucket(p), _arc_bucket(q)
-    if b1 != b2:
-        return b1 - b2
-    c = sign(p.x - q.x)
-    # Upper arc runs right to left, lower arc left to right.
-    return -c if b1 == 1 else c
-
-
-def _ccw_sorted(points: list[Point]) -> list[Point]:
-    return sorted(points, key=cmp_to_key(_cmp_ccw))
-
-
 # -- the construction programs ----------------------------------------------------
 
 
-def _prelude(b: _Builder) -> None:
-    # Seed segment, its mediatrix, the midpoint O and the unit circle K.
-    b.place("A", ONE, ZERO)
-    b.place("A'", -ONE, ZERO)
-    b.line("AA'", "A", "A'")
-    b.circle("c1", "A", "A'")
-    b.circle("c2", "A'", "A")
-    b.intersect("IM", "c1", "c2")
-    b.select("P1", "IM", "positive-y")
-    b.select("P2", "IM", "negative-y")
-    b.line("m", "P1", "P2")
-    b.intersect("O", "m", "AA'")
-    b.circle("K", "O", "A")
+# Seed segment, its mediatrix, the midpoint O and the unit circle K.
+_PRELUDE = [
+    Step("place-point", (), "A", coords=("1", "0")),
+    Step("place-point", (), "A'", coords=("-1", "0")),
+    Step("line", ("A", "A'"), "AA'"),
+    Step("circle", ("A", "A'"), "c1"),
+    Step("circle", ("A'", "A"), "c2"),
+    Step("intersect", ("c1", "c2"), "IM"),
+    Step("select", ("IM",), "P1", "positive-y"),
+    Step("select", ("IM",), "P2", "negative-y"),
+    Step("line", ("P1", "P2"), "m"),
+    Step("intersect", ("m", "AA'"), "O"),
+    Step("circle", ("O", "A"), "K"),
+]
 
-
-def _pentagon_radius_circle(b: _Builder) -> None:
-    """The golden-ratio compass setting: the circle centered O with radius
-    OC = (sqrt(5)-1)/2, built from B with OB = 1/2 on the mediatrix."""
-    b.intersect("IT", "m", "K")
-    b.select("T", "IT", "positive-y")
-    b.select("T'", "IT", "negative-y")
+# The golden-ratio compass setting: the circle centered O with radius
+# OC = (sqrt(5)-1)/2, built from B with OB = 1/2 on the mediatrix.
+_GOLDEN_RADIUS = [
+    Step("intersect", ("m", "K"), "IT"),
+    Step("select", ("IT",), "T", "positive-y"),
+    Step("select", ("IT",), "T'", "negative-y"),
     # Midpoint of OT: the circle centered O through T is K itself, so one
     # new circle suffices for the mediatrix.
-    b.circle("cT", "T", "O")
-    b.intersect("IQ", "K", "cT")
-    b.select("Q1", "IQ", "lex-min")
-    b.select("Q2", "IQ", "lex-max")
-    b.line("mB", "Q1", "Q2")
-    b.intersect("B", "mB", "m")  # (0, 1/2): OB is half the radius
-    b.circle("cB", "B", "A")  # radius AB = sqrt(5)/2
-    b.intersect("IC", "m", "cB")
-    b.select("C", "IC", "negative-y")  # OC = AB - 1/2, the golden ratio
-    b.circle("cg", "O", "C")
+    Step("circle", ("T", "O"), "cT"),
+    Step("intersect", ("K", "cT"), "IQ"),
+    Step("select", ("IQ",), "Q1", "lex-min"),
+    Step("select", ("IQ",), "Q2", "lex-max"),
+    Step("line", ("Q1", "Q2"), "mB"),
+    Step("intersect", ("mB", "m"), "B"),  # (0, 1/2): OB is half the radius
+    Step("circle", ("B", "A"), "cB"),  # radius AB = sqrt(5)/2
+    Step("intersect", ("m", "cB"), "IC"),
+    Step("select", ("IC",), "C", "negative-y"),  # OC = AB - 1/2, the golden ratio
+    Step("circle", ("O", "C"), "cg"),
+]
 
 
-def _pentagon_from(b: _Builder, anchor: str, d_pair: str, tag: str) -> list[Point]:
-    """Run the pentagon program anchored at a unit-circle point.
+def _mediatrix(label: str, p: str, q: str, aux: str) -> list[Step]:
+    """Perpendicular bisector of p q by the two-circle move; ``aux`` is a
+    prefix for the helper labels."""
+    return [
+        Step("circle", (p, q), f"{aux}1"),
+        Step("circle", (q, p), f"{aux}2"),
+        Step("intersect", (f"{aux}1", f"{aux}2"), f"{aux}X"),
+        Step("select", (f"{aux}X",), f"{aux}P", "lex-min"),
+        Step("select", (f"{aux}X",), f"{aux}Q", "lex-max"),
+        Step("line", (f"{aux}P", f"{aux}Q"), label),
+    ]
+
+
+def _pentagon_from(anchor: str, tag: str, d_pair: str, f: str, f2: str, g: str) -> list[Step]:
+    """The pentagon program anchored at a unit-circle point.
 
     ``d_pair`` must hold the intersections of the golden-radius circle with
-    the line through O and the anchor; the five vertices come back in no
-    particular order.
+    the line through O and the anchor.  The selectors ``f`` and ``f2`` pick
+    the lex-max and lex-min of the mediatrix's cut of K, and ``g`` picks the
+    point of each F circle's cut of K that is not the anchor.
     """
-    anchor_pt = b.bindings[anchor]
-    b.select(f"D{tag}", d_pair, f"on-segment(O,{anchor})")
-    b.mediatrix(f"mD{tag}", "O", f"D{tag}", f"d{tag}")
-    b.intersect(f"IF{tag}", f"mD{tag}", "K")
-    candidates = b.bindings[f"IF{tag}"]
-    f1 = b.select_wanted(f"F{tag}", f"IF{tag}", candidates[-1])
-    f2 = b.select_wanted(f"F{tag}'", f"IF{tag}", candidates[0])
-    b.circle(f"cF{tag}", f"F{tag}", anchor)
-    b.intersect(f"IG{tag}", f"cF{tag}", "K")
-    g1 = b.select_other(f"G{tag}", f"IG{tag}", anchor_pt)
-    b.circle(f"cF{tag}'", f"F{tag}'", anchor)
-    b.intersect(f"IG{tag}'", f"cF{tag}'", "K")
-    g2 = b.select_other(f"G{tag}'", f"IG{tag}'", anchor_pt)
-    return [anchor_pt, f1, f2, g1, g2]
+    return [
+        Step("select", (d_pair,), f"D{tag}", f"on-segment(O,{anchor})"),
+        *_mediatrix(f"mD{tag}", "O", f"D{tag}", f"d{tag}"),
+        Step("intersect", (f"mD{tag}", "K"), f"IF{tag}"),
+        Step("select", (f"IF{tag}",), f"F{tag}", f),
+        Step("select", (f"IF{tag}",), f"F{tag}'", f2),
+        Step("circle", (f"F{tag}", anchor), f"cF{tag}"),
+        Step("intersect", (f"cF{tag}", "K"), f"IG{tag}"),
+        Step("select", (f"IG{tag}",), f"G{tag}", g),
+        Step("circle", (f"F{tag}'", anchor), f"cF{tag}'"),
+        Step("intersect", (f"cF{tag}'", "K"), f"IG{tag}'"),
+        Step("select", (f"IG{tag}'",), f"G{tag}'", g),
+    ]
+
+
+# The vertex labels of each polygon, counterclockwise from A = (1, 0).
+_CCW = {
+    3: "A B B'",
+    4: "A B A' B'",
+    5: "A F G G' F'",
+    6: "A C B A' B' C'",
+    10: "A Gb F Fb G A' G' Fb' F' Gb'",
+    20: "A Fc Gb Gd F T Fb Gd' G Fc' A' Fd' G' Gc' Fb' T' F' Gc Gb' Fd",
+}
+
+
+def _program(n: int) -> list[Step]:
+    """The steps that construct the regular n-gon, n in SUPPORTED_POLYGONS."""
+    steps = list(_PRELUDE)
+    if n in (3, 6):
+        # The hexagon runs the triangle's steps, then the same ones from A.
+        steps += [
+            Step("circle", ("A'", "O"), "c3"),
+            Step("intersect", ("c3", "K"), "IB"),
+            Step("select", ("IB",), "B", "positive-y"),
+            Step("select", ("IB",), "B'", "negative-y"),
+        ]
+        if n == 6:
+            steps += [
+                Step("circle", ("A", "O"), "c4"),
+                Step("intersect", ("c4", "K"), "IC"),
+                Step("select", ("IC",), "C", "positive-y"),
+                Step("select", ("IC",), "C'", "negative-y"),
+            ]
+    elif n == 4:
+        steps += [
+            Step("intersect", ("m", "K"), "IB"),
+            Step("select", ("IB",), "B", "positive-y"),
+            Step("select", ("IB",), "B'", "negative-y"),
+        ]
+    else:
+        steps += _GOLDEN_RADIUS
+        steps.append(Step("intersect", ("cg", "AA'"), "ID"))
+        steps += _pentagon_from("A", "", "ID", "positive-y", "negative-y", "lex-min")
+        if n >= 10:
+            steps += _pentagon_from("A'", "b", "ID", "positive-y", "negative-y", "lex-max")
+        if n == 20:
+            steps.append(Step("intersect", ("cg", "m"), "IDm"))
+            steps += _pentagon_from("T", "c", "IDm", "lex-max", "lex-min", "negative-y")
+            steps += _pentagon_from("T'", "d", "IDm", "lex-max", "lex-min", "positive-y")
+    return steps
 
 
 def construct_polygon(n: int) -> tuple[Polygon, Trace]:
@@ -429,39 +408,9 @@ def construct_polygon(n: int) -> tuple[Polygon, Trace]:
             f"{', '.join(map(str, SUPPORTED_POLYGONS))} "
             "(check gauss_constructible(n) for whether a construction exists)"
         )
-    b = _Builder()
-    _prelude(b)
-    a = b.bindings["A"]
-    a2 = b.bindings["A'"]
-
-    if n in (3, 6):
-        # The hexagon runs the triangle's steps, then the same ones from A.
-        b.circle("c3", "A'", "O")
-        b.intersect("IB", "c3", "K")
-        vertices = [a, b.select("B", "IB", "positive-y"), b.select("B'", "IB", "negative-y")]
-        if n == 6:
-            b.circle("c4", "A", "O")
-            b.intersect("IC", "c4", "K")
-            vertices += [a2, b.select("C", "IC", "positive-y"), b.select("C'", "IC", "negative-y")]
-    elif n == 4:
-        b.intersect("IB", "m", "K")
-        vertices = [a, b.select("B", "IB", "positive-y"), a2, b.select("B'", "IB", "negative-y")]
-    else:
-        _pentagon_radius_circle(b)
-        b.intersect("ID", "cg", "AA'")
-        vertices = _pentagon_from(b, "A", "ID", "")
-        if n >= 10:
-            vertices += _pentagon_from(b, "A'", "ID", "b")
-        if n == 20:
-            b.intersect("IDm", "cg", "m")
-            vertices += _pentagon_from(b, "T", "IDm", "c")
-            vertices += _pentagon_from(b, "T'", "IDm", "d")
-
-    vertices = _ccw_sorted(vertices)
-    if any(_cmp_ccw(v, w) >= 0 for v, w in zip(vertices, vertices[1:])):
-        raise AssertionError("construction produced a repeated vertex")
-    polygon = Polygon(n=n, vertices=tuple(vertices), center=b.bindings["O"])
-    return polygon, b.trace()
+    trace = replay(_program(n))
+    vertices = tuple(trace.bindings[label] for label in _CCW[n].split())
+    return Polygon(n=n, vertices=vertices, center=trace.bindings["O"]), trace
 
 
 def double_polygon(p: Polygon) -> Polygon:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import index
 
 __all__ = [
     "Constructible",
@@ -626,7 +627,7 @@ def approx(x, digits: int) -> str:
     ``x`` itself (no scaled copy of the tree), so they depend only on the
     value; one straddled rounding boundary is settled by `sign`.
     """
-    x = Constructible.of(x)
+    x, digits = Constructible.of(x), index(digits)
     if digits < 1:
         raise ValueError("digits must be >= 1")
     s = _sign(x)

@@ -12,6 +12,7 @@ identity phi^2 = phi + 1 does all the work.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import index
 
 from .exactnum import Constructible, ONE, ZERO, _Record, approx, sign, sqrt
 from .reporting import Check, Report
@@ -263,6 +264,7 @@ def export_mesh(mesh: IcosaMesh, digits: int = 6) -> str:
     Coordinates are correctly rounded decimals, so a re-export is
     byte-identical.
     """
+    digits = index(digits)
     if digits < 1:
         raise ValueError("digits must be >= 1")
     lines = [

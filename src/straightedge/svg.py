@@ -13,6 +13,7 @@ orientation.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 
 from .construct import Polygon, Trace
 from .exactnum import _Record, approx, sqrt
@@ -28,6 +29,7 @@ class RenderConfig(_Record):
     __slots__ = _fields = ("digits", "labels")
 
     def __init__(self, digits: int = 5, labels: bool = True):
+        digits = index(digits)
         if digits < 1:
             raise ValueError("digits must be >= 1")
         self._init(digits, labels)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from operator import index
 
 from .exactnum import Constructible, ONE, ZERO, _Record, _adjoin, sign
 
@@ -38,6 +39,14 @@ __all__ = [
 def _on_grid(n: int, d: int) -> bool:
     """Whether n/d degrees (lowest terms, d > 0) is a positive 3*m/2^k."""
     return n > 0 and n % 3 == 0 and d & (d - 1) == 0
+
+
+def _read_degrees(value) -> Fraction:
+    """The degrees of an int, str or Fraction; a float, being inexact, or any
+    other type raises TypeError."""
+    if isinstance(value, (int, str, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"cannot read an angle from {type(value).__name__}")
 
 
 class Angle(_Record):
@@ -59,11 +68,7 @@ class Angle(_Record):
 
     @classmethod
     def of(cls, value) -> "Angle":
-        if isinstance(value, Angle):
-            return value
-        if isinstance(value, (int, str, Fraction)):
-            return cls(Fraction(value))
-        raise TypeError(f"cannot read an angle from {type(value).__name__}")
+        return value if isinstance(value, Angle) else cls(_read_degrees(value))
 
     def __str__(self) -> str:
         return f"{self.degrees}°"
@@ -157,7 +162,8 @@ def tan(angle) -> Constructible:
 
 def side_length(n: int) -> Constructible:
     """Side of the regular n-gon inscribed in the unit circle: 2*sin(180/n)."""
-    if not isinstance(n, int) or n < 3:
+    n = index(n)
+    if n < 3:
         raise ValueError("n must be an integer >= 3")
     deg = Fraction(180, n)
     if not _on_grid(deg.numerator, deg.denominator):
@@ -180,7 +186,7 @@ def point_on_circle(degrees: Fraction) -> tuple[Constructible, Constructible]:
     """Exact (cos, sin) of any grid multiple, for vertex checks: the point
     for the remainder below 90 degrees, turned a quarter turn once per whole
     quadrant."""
-    quadrants, rest = divmod(Fraction(degrees) % 360, 90)
+    quadrants, rest = divmod(_read_degrees(degrees) % 360, 90)
     s, c = sin_cos(Angle(rest)) if rest else (ZERO, ONE)
     for _ in range(quadrants):
         c, s = -s, c

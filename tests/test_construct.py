@@ -178,6 +178,17 @@ class TestTrace:
         assert by_label["F"].selector == "positive-y"
         assert by_label["F'"].selector == "negative-y"
 
+    def test_pentagon_selectors_pick_their_points(self):
+        # From every anchor F is the lex-max of the mediatrix's cut of K and
+        # F' its lex-min; G and G' are the points of their cuts other than
+        # the anchor.
+        b = construct_polygon(20)[1].bindings
+        for anchor, tag in (("A", ""), ("A'", "b"), ("T", "c"), ("T'", "d")):
+            pair = b[f"IF{tag}"]
+            assert (b[f"F{tag}"], b[f"F{tag}'"]) == (pair[-1], pair[0]), anchor
+            for g in (f"G{tag}", f"G{tag}'"):
+                assert [p for p in b[f"I{g}"] if p != b[anchor]] == [b[g]], g
+
 
 class TestDoublePolygon:
     def test_triangle_to_hexagon(self):

@@ -11,6 +11,10 @@ import pytest
 from straightedge import constructibility
 from straightedge.cli import main
 from straightedge.construct import Polygon, construct_polygon
+from straightedge.exactnum import approx, sqrt
+from straightedge.icosahedron import build_icosahedron, export_mesh
+from straightedge.svg import RenderConfig
+from straightedge.trig import side_length
 from straightedge.constructibility import (
     KNOWN_FERMAT_PRIMES,
     factorize,
@@ -153,9 +157,13 @@ class TestFactorize:
 @pytest.mark.parametrize("count", [5.0, Fraction(5), "5"], ids=["float", "Fraction", "str"])
 @pytest.mark.parametrize("entry", [
     construct_polygon, lambda n: Polygon(n, (), None), gauss_constructible, factorize,
-    smallest_prime_factor, fermat_exponent, is_fermat_prime,
+    smallest_prime_factor, fermat_exponent, is_fermat_prime, side_length,
+    lambda digits: approx(sqrt(2), digits), lambda digits: approx(1, digits),
+    lambda digits: RenderConfig(digits=digits),
+    lambda digits: export_mesh(build_icosahedron(), digits),
 ], ids=["construct_polygon", "Polygon", "gauss_constructible", "factorize",
-        "smallest_prime_factor", "fermat_exponent", "is_fermat_prime"])
+        "smallest_prime_factor", "fermat_exponent", "is_fermat_prime", "side_length",
+        "approx", "approx_rational", "RenderConfig", "export_mesh"])
 def test_counts_must_be_ints(entry, count):
     with pytest.raises(TypeError):
         entry(count)

@@ -341,6 +341,12 @@ class TestPointOnCircle:
         s36, c36 = sin_cos(36)
         assert sign(c144 + c36) == 0
         assert sign(s144 - s36) == 0
+        assert point_on_circle("144") == (c144, s144)
+
+    @pytest.mark.parametrize("read", [sin_cos, point_on_circle], ids=["sin_cos", "point_on_circle"])
+    def test_float_degrees_refused(self, read):
+        with pytest.raises(TypeError, match="cannot read an angle from float"):
+            read(72.0)
 
     def test_oracle(self):
         mp.dps = 40
