@@ -35,7 +35,7 @@ from .geom import (
     intersect_lines,
     perpendicular_bisector,
 )
-from .reporting import Check, Report
+from .reporting import Check, Report, _unequal
 from .trig import side_length
 
 __all__ = [
@@ -422,8 +422,8 @@ def double_polygon(p: Polygon) -> Polygon:
         w = p.vertices[(i + 1) % p.n]
         bisector = perpendicular_bisector(v, w)
         candidates = intersect_line_circle(bisector, circum)
-        mx = (v.x + w.x) / 2 - p.center.x
-        my = (v.y + w.y) / 2 - p.center.y
+        mx = bisector.p.x - p.center.x
+        my = bisector.p.y - p.center.y
         arc = [
             c
             for c in candidates
@@ -454,7 +454,7 @@ def verify_regular(p: Polygon) -> Report:
     chords = [
         dist_sq(p.vertices[i], p.vertices[(i + 1) % p.n]) for i in range(p.n)
     ]
-    bad_chords = [i for i, d in enumerate(chords) if sign(d - chords[0]) != 0]
+    bad_chords = _unequal(chords)
     checks.append(
         Check(
             "all consecutive chords exactly equal",

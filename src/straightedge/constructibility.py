@@ -271,7 +271,7 @@ def gauss_constructible(n: int) -> Verdict:
             return Verdict(
                 n, False, 0, (), Refusal("repeated-odd-prime", p)
             )
-        if not is_fermat_prime(p):
+        if _fermat_index(p) is None:  # factorize has proven p prime
             return Verdict(n, False, 0, (), Refusal("non-fermat-prime", p))
         odd_primes.append(p)
     return Verdict(n, True, two_exponent, tuple(sorted(odd_primes)))

@@ -627,14 +627,24 @@ def approx(x, digits: int) -> str:
     ``x`` itself (no scaled copy of the tree), so they depend only on the
     value; one straddled rounding boundary is settled by `sign`.
     """
-    x, digits = Constructible.of(x), index(digits)
+    x, digits = Constructible.of(x), _digits(digits)
+    s = _sign(x)
+    return _decimal(s * ((_floor(x, s, 2 * 10**digits) + 1) // 2), digits)
+
+
+def _digits(digits) -> int:
+    """A number of decimal places: an int (TypeError otherwise) of at least 1."""
+    digits = index(digits)
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    s = _sign(x)
-    n = s * ((_floor(x, s, 2 * 10**digits) + 1) // 2)
-    body = str(abs(n)).rjust(digits + 1, "0")
+    return digits
+
+
+def _decimal(n: int, places: int) -> str:
+    """The decimal text of n / 10**places."""
+    body = str(abs(n)).rjust(places + 1, "0")
     sign_str = "-" if n < 0 else ""
-    return f"{sign_str}{body[:-digits]}.{body[-digits:]}"
+    return f"{sign_str}{body[:-places]}.{body[-places:]}"
 
 
 # -- canonical text parsing ----------------------------------------------------

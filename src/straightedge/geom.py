@@ -174,22 +174,19 @@ def intersect_line_circle(l: Line, c: Circle) -> list[Point]:
 
 
 def _cut_circle(a, b, cc, c: Circle) -> list[Point]:
-    # The line a*x + b*y = cc in canonical form (see _canonical) against c.
-    cx, cy = c.center.x, c.center.y
-    if sign(a) != 0:
-        # x = cc - b*y (a is normalized to 1)
-        u = cc - cx
-        qa = b * b + 1
-        qb = -2 * (u * b + cy)
-        qc = u * u + cy * cy - c.radius_sq
-        pts = [Point(cc - b * y, y) for y in _quadratic_roots(qa, qb, qc)]
-    else:
-        # horizontal line y = cc (b is normalized to 1)
-        dy = cc - cy
-        qb = -2 * cx
-        qc = cx * cx + dy * dy - c.radius_sq
-        pts = [Point(x, cc) for x in _quadratic_roots(ONE, qb, qc)]
-    return _sorted_points(pts)
+    # The line a*x + b*y = cc in canonical form (see _canonical) against c,
+    # solved as u = cc - b*w for (u, w) = (x, y).  A horizontal line y = cc
+    # (a = 0, b = 1) is the same quadratic with the axes swapped and b = 0.
+    swap = sign(a) == 0
+    cu, cw = (c.center.y, c.center.x) if swap else (c.center.x, c.center.y)
+    if swap:
+        b = ZERO
+    u = cc - cu
+    qa = b * b + 1
+    qb = -2 * (u * b + cw)
+    qc = u * u + cw * cw - c.radius_sq
+    pts = [(w, cc - b * w) if swap else (cc - b * w, w) for w in _quadratic_roots(qa, qb, qc)]
+    return _sorted_points([Point(x, y) for x, y in pts])
 
 
 def intersect_circles(c1: Circle, c2: Circle) -> list[Point]:

@@ -12,10 +12,9 @@ identity phi^2 = phi + 1 does all the work.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import index
 
-from .exactnum import Constructible, ONE, ZERO, _Record, approx, sign, sqrt
-from .reporting import Check, Report
+from .exactnum import Constructible, ONE, ZERO, _Record, _digits, approx, sign, sqrt
+from .reporting import Check, Report, _unequal
 
 __all__ = [
     "Point3",
@@ -42,10 +41,8 @@ class Point3(_Record):
 
 
 def dist_sq3(p: Point3, q: Point3) -> Constructible:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    dz = p.z - q.z
-    return dx * dx + dy * dy + dz * dz
+    d = _sub(p, q)
+    return _dot(d, d)
 
 
 def _dot(p: Point3, q: Point3) -> Constructible:
@@ -177,15 +174,13 @@ def _neighbor_pentagon_checks(mesh: IcosaMesh, checks: list[Check]) -> None:
                 )
             )
             continue
-        axis_d = [_dot(p, p) - _dot(p, v) * _dot(p, v) / vv for p in pts]
-        equidistant = all(sign(d - axis_d[0]) == 0 for d in axis_d[1:])
+        equidistant = not _unequal([_dot(p, p) - _dot(p, v) * _dot(p, v) / vv for p in pts])
 
         cx = (pts[0].x + pts[1].x + pts[2].x + pts[3].x + pts[4].x) / 5
         cy = (pts[0].y + pts[1].y + pts[2].y + pts[3].y + pts[4].y) / 5
         cz = (pts[0].z + pts[1].z + pts[2].z + pts[3].z + pts[4].z) / 5
         centroid = Point3(cx, cy, cz)
-        to_centroid = [dist_sq3(p, centroid) for p in pts]
-        centered = all(sign(d - to_centroid[0]) == 0 for d in to_centroid[1:])
+        centered = not _unequal([dist_sq3(p, centroid) for p in pts])
 
         # The ten pairwise distances split 5/5 into sides and diagonals with
         # diagonal = phi * side: the golden-ratio pentagon relation.
@@ -224,13 +219,11 @@ def verify_icosahedron(mesh: IcosaMesh) -> Report:
         )
     )
 
-    edge_lengths = [dist_sq3(mesh.vertices[i], mesh.vertices[j]) for i, j in mesh.edges]
-    if edge_lengths:
-        bad = [
-            idx
-            for idx, d in enumerate(edge_lengths)
-            if sign(d - edge_lengths[0]) != 0
-        ]
+    def length_sq(i: int, j: int) -> Constructible:
+        return dist_sq3(mesh.vertices[i], mesh.vertices[j])
+
+    if mesh.edges:
+        bad = _unequal([length_sq(i, j) for i, j in mesh.edges])
         checks.append(
             Check(
                 "all edges exactly the same length",
@@ -239,13 +232,11 @@ def verify_icosahedron(mesh: IcosaMesh) -> Report:
             )
         )
 
-    bad_faces = []
-    for idx, (i, j, k) in enumerate(mesh.faces):
-        a = dist_sq3(mesh.vertices[i], mesh.vertices[j])
-        b = dist_sq3(mesh.vertices[j], mesh.vertices[k])
-        c = dist_sq3(mesh.vertices[i], mesh.vertices[k])
-        if sign(a - b) != 0 or sign(a - c) != 0:
-            bad_faces.append(idx)
+    bad_faces = [
+        idx
+        for idx, (i, j, k) in enumerate(mesh.faces)
+        if _unequal([length_sq(i, j), length_sq(j, k), length_sq(i, k)])
+    ]
     checks.append(
         Check(
             "all faces exactly equilateral",
@@ -264,9 +255,7 @@ def export_mesh(mesh: IcosaMesh, digits: int = 6) -> str:
     Coordinates are correctly rounded decimals, so a re-export is
     byte-identical.
     """
-    digits = index(digits)
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    digits = _digits(digits)
     lines = [
         f"v {approx(p.x, digits)} {approx(p.y, digits)} {approx(p.z, digits)}"
         for p in mesh.vertices

@@ -6,7 +6,7 @@ an invalid object instead of refusing to look at it.
 
 from __future__ import annotations
 
-from .exactnum import _Record
+from .exactnum import _Record, sign
 
 
 class Check(_Record):
@@ -35,3 +35,8 @@ class Report(_Record):
 
     def __str__(self) -> str:
         return "\n".join(str(c) for c in self.checks)
+
+
+def _unequal(values) -> list[int]:
+    """Indices of the values whose difference from the first has a nonzero sign."""
+    return [i for i, v in enumerate(values) if sign(v - values[0])]

@@ -76,11 +76,9 @@ def run_all_checks() -> Report:
         )
         checks.append(Check(f"{n}-gon vertices match (cos, sin) closed forms", closed))
 
-    # Doubling rule.
+    # Doubling rule; both vertex tuples run counterclockwise from A.
     doubled = double_polygon(double_polygon(polygons[5]))
-    same = len(doubled.vertices) == 20 and all(
-        any(p == q for q in polygons[20].vertices) for p in doubled.vertices
-    )
+    same = doubled.vertices == polygons[20].vertices
     checks.append(Check("doubling the pentagon twice reproduces the icosagon", same))
 
     # Golden-ratio relations in the pentagon.

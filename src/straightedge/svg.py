@@ -13,10 +13,9 @@ orientation.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import index
 
 from .construct import Polygon, Trace
-from .exactnum import _Record, approx, sqrt
+from .exactnum import _Record, _decimal, _digits, approx, sqrt
 from .geom import Circle, Line, Point
 
 __all__ = ["RenderConfig", "render_svg"]
@@ -29,18 +28,13 @@ class RenderConfig(_Record):
     __slots__ = _fields = ("digits", "labels")
 
     def __init__(self, digits: int = 5, labels: bool = True):
-        digits = index(digits)
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        self._init(digits, labels)
+        self._init(_digits(digits), labels)
 
 
 def _fmt(value: Fraction, places: int = 2) -> str:
     scaled = value * 10**places
     n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    body = str(abs(n)).rjust(places + 1, "0")
-    sign_str = "-" if n < 0 else ""
-    return f"{sign_str}{body[:-places]}.{body[-places:]}"
+    return _decimal(n, places)
 
 
 def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon | None = None) -> str:

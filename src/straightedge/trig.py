@@ -42,8 +42,10 @@ def _on_grid(n: int, d: int) -> bool:
 
 
 def _read_degrees(value) -> Fraction:
-    """The degrees of an int, str or Fraction; a float, being inexact, or any
-    other type raises TypeError."""
+    """The degrees of an int, str, Fraction or Angle; a float, being inexact,
+    or any other type raises TypeError."""
+    if isinstance(value, Angle):
+        return value.degrees
     if isinstance(value, (int, str, Fraction)):
         return Fraction(value)
     raise TypeError(f"cannot read an angle from {type(value).__name__}")

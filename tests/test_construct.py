@@ -261,6 +261,22 @@ class TestVerifyRegular:
         failures = verify_regular(repeated).failures()
         assert [c.name for c in failures] == ["vertices pairwise distinct"]
 
+    def test_tampered_chord_details(self):
+        v = construct_polygon(4)[0].vertices
+        moved = Point.of(Fraction(-3, 5), Fraction(4, 5))  # on the circle, off the square
+        failures = verify_regular(Polygon(4, (v[0], v[1], moved, v[3]), Point.of(0, 0))).failures()
+        assert [str(c) for c in failures] == [
+            "FAIL all consecutive chords exactly equal: unequal chords at: [1, 2]",
+        ]
+        # the first chord is the reference, so every other one is reported
+        moved = Point.of(Fraction(3, 5), Fraction(-4, 5))
+        failures = verify_regular(Polygon(4, (moved,) + v[1:], Point.of(0, 0))).failures()
+        assert [str(c) for c in failures] == [
+            "FAIL all consecutive chords exactly equal: unequal chords at: [1, 2, 3]",
+            "FAIL chord equals 2*sin(180/4) from the trig tables: "
+            "chord^2 = 18/5, expected (0 + 1*sqrt(2))^2",
+        ]
+
     def test_icosagon_chord_is_2_sin_9(self):
         poly, _ = construct_polygon(20)
         chord_sq = dist_sq(poly.vertices[0], poly.vertices[1])

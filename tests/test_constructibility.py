@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -88,6 +89,37 @@ class TestGaussConstructible:
     def test_message_strings(self):
         assert "not constructible (7 is not a Fermat prime)" in str(gauss_constructible(7))
         assert "constructible" in str(gauss_constructible(17))
+
+    def test_verdicts_up_to_2000_frozen(self):
+        # SHA-256 of the verdict lines for n = 3..2000, one per line; 1935 refusals
+        text = "\n".join(str(gauss_constructible(n)) for n in range(3, 2001))
+        assert text.count("not constructible") == 1935
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9260fb29b19eacca13f8efabebcda100dacf9ff47bba78a979cb1b6a550d6488"
+        )
+
+    def test_readme_refusals(self):
+        assert str(gauss_constructible(7)) == "7: not constructible (7 is not a Fermat prime)"
+        assert str(gauss_constructible(9)) == "9: not constructible (3 divides n more than once)"
+        assert str(gauss_constructible(2**32 + 1)) == (
+            "4294967297: not constructible (641 is not a Fermat prime)"
+        )
+        assert str(gauss_constructible(MERSENNE_61)) == (
+            f"{MERSENNE_61}: not constructible ({MERSENNE_61} is not a Fermat prime)"
+        )
+
+    def test_factors_are_proven_prime_once(self, monkeypatch):
+        # factorize proves every factor prime; the Fermat test reads the shape only
+        calls = []
+        real = constructibility._is_prime
+        monkeypatch.setattr(constructibility, "_is_prime", lambda m: calls.append(m) or real(m))
+        for n in (2**5 * 3 * 5 * 17 * 257 * 65537, 65537 * 7, 3 * 10007**2 * 11, MERSENNE_61 * 4):
+            factorize(n)
+            in_factorize = len(calls)
+            calls.clear()
+            gauss_constructible(n)
+            assert len(calls) == in_factorize, n
+            calls.clear()
 
 
 class TestFermatPrimes:

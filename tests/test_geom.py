@@ -1,6 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
+
+from conftest import mpf_of
 
 from straightedge import geom
 from straightedge.construct import construct_polygon, double_polygon
@@ -101,6 +104,29 @@ class TestLineCircle:
         for p in intersect_line_circle(line, circle):
             assert sign(line.eval_at(p)) == 0
             assert sign(circle.power_at(p)) == 0
+
+    @pytest.mark.parametrize("center", [
+        (Fraction(1, 3), Fraction(-2, 5)),
+        (sqrt(2) / 3, sqrt(3) - 1),
+    ], ids=["rational", "irrational"])
+    @pytest.mark.parametrize("horizontal", [True, False], ids=["horizontal", "vertical"])
+    def test_axis_parallel_cut_off_centre(self, center, horizontal):
+        # cx and cy both nonzero, r^2 = 2, and both cut points irrational
+        cx, cy = map(Constructible.of, center)
+        circle = Circle(Point(cx, cy), Point(cx + 1, cy + 1))
+        at = Constructible.of(Fraction(1, 7)) if horizontal else sqrt(5) / 4
+        ends = [(Constructible.of(t), at) for t in (-3, 2)]
+        line = Line(*(Point(*(e if horizontal else e[::-1])) for e in ends))
+        pts = intersect_line_circle(line, circle)
+        mp.dps = 50
+        c_along, c_across = (cx, cy) if horizontal else (cy, cx)
+        half = mp.sqrt(2 - (mpf_of(at) - mpf_of(c_across)) ** 2)
+        assert len(pts) == 2
+        for p, along in zip(pts, (mpf_of(c_along) - half, mpf_of(c_along) + half)):
+            assert sign(line.eval_at(p)) == 0 and sign(circle.power_at(p)) == 0
+            got, fixed = (p.x, p.y) if horizontal else (p.y, p.x)
+            assert fixed == at and got.r is not None
+            assert abs(mpf_of(got) - along) < mp.mpf(10) ** -40
 
 
 class TestCircleCircle:

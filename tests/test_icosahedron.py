@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -139,6 +140,40 @@ class TestVerifyIcosahedron:
         report = verify_icosahedron(tampered)
         assert not report.ok
         assert any("same length" in c.name for c in report.failures())
+
+    def test_failure_details(self):
+        mesh = build_icosahedron()
+        zero = Constructible.of(0)
+        pentagon = "neighbors of vertex {} form a regular golden pentagon: "
+        flags = "coplanar={} equidistant={} centered={} golden={}"
+        all_false = flags.format(False, False, False, False)
+
+        def details(vertices=mesh.vertices, faces=mesh.faces):
+            report = verify_icosahedron(IcosaMesh(vertices, mesh.edges, faces))
+            return [str(c) for c in report.failures()]
+
+        # one face that is not a triangle of the mesh
+        faces = mesh.faces[:3] + ((0, 1, 2),) + mesh.faces[4:]
+        assert details(faces=faces) == ["FAIL all faces exactly equilateral: non-equilateral faces at [3]"]
+
+        # vertex 0 moved to the center: edges 0-4 (its own) are the reference
+        assert details(vertices=(Point3(zero, zero, zero),) + mesh.vertices[1:]) == [
+            f"FAIL all edges exactly the same length: unequal edges at {list(range(5, 30))}",
+            "FAIL all faces exactly equilateral: non-equilateral faces at [0, 1, 2, 3, 4]",
+            "FAIL " + pentagon.format(0) + "vertex sits at the center, its axis is undefined",
+        ] + ["FAIL " + pentagon.format(i) + all_false for i in (1, 4, 7, 8, 9)]
+
+        # vertex 1 pushed along the axis of its neighbor 0: the pentagon about
+        # 0 keeps its axis distances, the one about 1 only loses them
+        v0, v1 = mesh.vertices[:2]
+        half = Fraction(1, 2)
+        pushed = Point3(v1.x + half * v0.x, v1.y + half * v0.y, v1.z + half * v0.z)
+        assert details(vertices=(v0, pushed) + mesh.vertices[2:]) == [
+            f"FAIL all edges exactly the same length: unequal edges at {list(range(1, 30))}",
+            "FAIL all faces exactly equilateral: non-equilateral faces at [0, 1, 5, 6, 7]",
+            "FAIL " + pentagon.format(0) + flags.format(False, True, False, False),
+            "FAIL " + pentagon.format(1) + flags.format(True, False, True, True),
+        ] + ["FAIL " + pentagon.format(i) + all_false for i in (4, 7, 10, 11)]
 
 
 class TestExportMesh:

@@ -342,6 +342,7 @@ class TestPointOnCircle:
         assert sign(c144 + c36) == 0
         assert sign(s144 - s36) == 0
         assert point_on_circle("144") == (c144, s144)
+        assert point_on_circle(Angle.of(36)) == (c36, s36)
 
     @pytest.mark.parametrize("read", [sin_cos, point_on_circle], ids=["sin_cos", "point_on_circle"])
     def test_float_degrees_refused(self, read):
