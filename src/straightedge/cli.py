@@ -2,7 +2,8 @@
 
 Subcommands:
 
-  construct <n> [--svg PATH] [--json PATH]   build a polygon and its trace
+  construct <n> [--svg PATH] [--json PATH]   build the n-gon and its trace, for
+                                             n = 3, 4, 5, 6, 10 or 20 times 2^j <= 160
   table                                      print the classical trig tables
   trig <degrees>                             exact sin/cos/tan of a grid angle
                                              3*m/2^k with k <= 5
@@ -10,12 +11,12 @@ Subcommands:
   icosahedron [--obj PATH] [--digits D]      the golden-rectangle icosahedron
   verify                                     run the exact invariant suite
 
-Exit status: 0 on success, 1 on domain errors (unsupported n, off-grid
-angle, dyadic depth beyond 5, --digits outside 1..MAX_DIGITS, or a lower
-ceiling under a lower PYTHONINTMAXSTRDIGITS, an n whose factors are out of
-reach: a cofactor above 160 bits or beyond the proven primality range, or
-one that rho does not split within its budget, such as two primes near
-10^12 or larger) and on a stdout closed early, as by `| head -1`, 2 on
+Exit status: 0 on success, 1 on domain errors (construct of any other n,
+off-grid angle, dyadic depth beyond 5, --digits outside 1..MAX_DIGITS, or a
+lower ceiling under a lower PYTHONINTMAXSTRDIGITS, an n whose factors are
+out of reach: a cofactor above 160 bits or beyond the proven primality
+range, or one that rho does not split within its budget, such as two primes
+near 10^12 or larger) and on a stdout closed early, as by `| head -1`, 2 on
 usage errors.
 """
 

@@ -1,19 +1,19 @@
 """Replayable straightedge-and-compass programs for regular polygons.
 
 A construction is a declared list of primitive steps (place the two seed
-points, draw a line, set the compass, intersect, select one intersection by
-an explicit rule) together with its vertex labels in counterclockwise
-order; `construct_polygon` replays the list and reads the vertices off the
-bindings.  `replay` is the one executor, so a trace read back from JSON
-rebuilds every labeled object exactly as the program did.  The only numeric
-literals in any trace are the seed points A = (1, 0) and A' = (-1, 0);
-every other object is an intersection.
+points, draw a line or a mediatrix, set the compass, intersect, select one
+intersection by an explicit rule) together with its vertex labels in
+counterclockwise order; `construct_polygon` replays the list and reads the
+vertices off the bindings.  `replay` is the one executor, so a trace read
+back from JSON rebuilds every labeled object exactly as the program did.
+The only numeric literals in any trace are the seed points A = (1, 0) and
+A' = (-1, 0); every other object is an intersection.
 
 Supported polygons: the triangle and square from the classical mediatrix
 moves, the pentagon via the golden-ratio compass program, and the hexagon,
 decagon and icosagon obtained by running the same programs from several
-anchors.  Doubling any polygon (side mediatrices against the circumcircle)
-covers the n -> 2n rule.
+anchors.  Doubling (side mediatrices against the circumcircle) is steps
+too, appended to these programs up to 160 vertices or run on any polygon.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class Step(_Record):
 
     def __init__(
         self,
-        kind: str,  # place-point | line | circle | intersect | select
+        kind: str,  # place-point | line | circle | mediatrix | intersect | select
         inputs: tuple[str, ...],
         output: str,
         selector: str | None = None,
@@ -97,7 +97,7 @@ class Polygon(_Record):
 # -- selector semantics --------------------------------------------------------
 
 _SELECTORS = ("lex-min", "lex-max", "positive-y", "negative-y")
-_ON_SEGMENT = re.compile(r"on-segment\(([^,()]+),([^,()]+)\)")
+_TWO_LABELS = re.compile(r"(?:on-segment|toward)\(([^,()]+),([^,()]+)\)")
 
 
 def _between(value, lo, hi) -> bool:
@@ -107,7 +107,7 @@ def _between(value, lo, hi) -> bool:
 def _apply_selector(
     selector: str, candidates: tuple[Point, ...], a: Point | None = None, b: Point | None = None
 ) -> Point:
-    # a and b are the endpoints of an on-segment selector
+    # a and b are the two labeled points of an on-segment or toward selector
     if selector == "lex-min":
         return candidates[0]
     if selector == "lex-max":
@@ -116,6 +116,9 @@ def _apply_selector(
         matches = [p for p in candidates if sign(p.y) > 0]
     elif selector == "negative-y":
         matches = [p for p in candidates if sign(p.y) < 0]
+    elif selector.startswith("toward"):
+        dx, dy = b.x - a.x, b.y - a.y
+        matches = [p for p in candidates if sign((p.x - a.x) * dx + (p.y - a.y) * dy) > 0]
     else:
         matches = [
             p
@@ -142,9 +145,12 @@ def _intersect_objects(o1, o2):
     return pt
 
 
-# The class of each input, by step kind.
+# The class of each input, and the function that builds the object, by step kind.
 _INPUTS = {"place-point": (), "line": (Point, Point), "circle": (Point, Point),
-           "intersect": ((Line, Circle), (Line, Circle)), "select": (tuple,)}
+           "mediatrix": (Point, Point), "intersect": ((Line, Circle), (Line, Circle)),
+           "select": (tuple,)}
+_BUILD = {"line": Line, "circle": Circle, "mediatrix": perpendicular_bisector,
+          "intersect": _intersect_objects}
 
 
 def _evaluate(step: Step, bindings: dict):
@@ -164,7 +170,7 @@ def _evaluate(step: Step, bindings: dict):
     if len(labels) != len(classes):
         raise ValueError(f"{where}: takes {len(classes)} inputs, got {len(labels)}")
     if step.kind == "select" and step.selector not in _SELECTORS:
-        m = _ON_SEGMENT.fullmatch(str(step.selector))
+        m = _TWO_LABELS.fullmatch(str(step.selector))
         if not m:
             raise ValueError(f"{where}: unknown selector {step.selector!r}")
         labels += m.groups()
@@ -180,13 +186,9 @@ def _evaluate(step: Step, bindings: dict):
     try:
         if step.kind == "place-point":
             return Point(parse(step.coords[0]), parse(step.coords[1]))
-        if step.kind == "line":
-            return Line(*args)
-        if step.kind == "circle":
-            return Circle(*args)
-        if step.kind == "intersect":
-            return _intersect_objects(*args)
-        return _apply_selector(step.selector, *args)
+        if step.kind == "select":
+            return _apply_selector(step.selector, *args)
+        return _BUILD[step.kind](*args)
     except ValueError as err:
         raise ValueError(f"{where}: {err}") from None
 
@@ -201,10 +203,13 @@ def replay(steps: list[Step]) -> Trace:
     unbound or repeated label, a place-point without coords) or one whose
     construction fails (parallel lines, a selector that does not single out
     one point) raises ValueError naming the step."""
-    bindings: dict[str, object] = {}
+    return Trace(list(steps), _run(steps, {}))
+
+
+def _run(steps: list[Step], bindings: dict) -> dict:
     for step in steps:
         bindings[step.output] = _evaluate(step, bindings)
-    return Trace(list(steps), bindings)
+    return bindings
 
 
 # -- trace serialization --------------------------------------------------------
@@ -395,44 +400,56 @@ def _program(n: int) -> list[Step]:
     return steps
 
 
-def construct_polygon(n: int) -> tuple[Polygon, Trace]:
-    """Construct the regular n-gon inscribed in the unit circle.
+def _doubling(labels: list[str]) -> tuple[list[Step], list[str]]:
+    """The steps doubling the polygon bound to ``labels`` (counterclockwise
+    on K about O) and its 2n labels: each side's mediatrix cuts K, and the
+    cut toward the side's first vertex is the vertex between its ends."""
+    steps, doubled = [], []
+    for i, (v, w) in enumerate(zip(labels, labels[1:] + labels[:1])):
+        new = f"V{2 * i + 1}/{2 * len(labels)}"
+        steps += [
+            Step("mediatrix", (v, w), f"m{new}"),
+            Step("intersect", (f"m{new}", "K"), f"I{new}"),
+            Step("select", (f"I{new}",), new, f"toward(O,{v})"),
+        ]
+        doubled += [v, new]
+    return steps, doubled
 
-    Vertices are returned counterclockwise starting from (1, 0), together
-    with the full compass-and-straightedge trace that produced them.
+
+_MAX_N = 160  # doubling costs steeply more beyond: 96 -> 192 alone takes about 10 s
+
+
+def construct_polygon(n: int) -> tuple[Polygon, Trace]:
+    """Construct the regular n-gon inscribed in the unit circle: the program
+    of the largest m in SUPPORTED_POLYGONS with n = m*2^j <= 160, doubled j
+    times.  Vertices are returned counterclockwise starting from (1, 0),
+    together with the full compass-and-straightedge trace that produced them.
     """
     n = index(n)
-    if n not in SUPPORTED_POLYGONS:
+    bases = [m for m in SUPPORTED_POLYGONS if n % m == 0 and (n // m).bit_count() == 1]
+    if not bases or not 0 < n <= _MAX_N:
         raise ValueError(
             f"no construction program for n = {n}; supported: "
-            f"{', '.join(map(str, SUPPORTED_POLYGONS))} "
+            f"{', '.join(map(str, SUPPORTED_POLYGONS))} times a power of two, up to {_MAX_N} "
             "(check gauss_constructible(n) for whether a construction exists)"
         )
-    trace = replay(_program(n))
-    vertices = tuple(trace.bindings[label] for label in _CCW[n].split())
+    steps, labels = _program(bases[-1]), _CCW[bases[-1]].split()
+    while len(labels) < n:
+        more, labels = _doubling(labels)
+        steps += more
+    trace = replay(steps)
+    vertices = tuple(trace.bindings[label] for label in labels)
     return Polygon(n=n, vertices=vertices, center=trace.bindings["O"]), trace
 
 
 def double_polygon(p: Polygon) -> Polygon:
-    """The 2n-gon: each side's mediatrix cuts the circumcircle on the side's
-    arc, and the new vertex interleaves the side's endpoints."""
-    circum = Circle(p.center, p.vertices[0])
-    doubled: list[Point] = []
-    for i, v in enumerate(p.vertices):
-        w = p.vertices[(i + 1) % p.n]
-        bisector = perpendicular_bisector(v, w)
-        candidates = intersect_line_circle(bisector, circum)
-        mx = bisector.p.x - p.center.x
-        my = bisector.p.y - p.center.y
-        arc = [
-            c
-            for c in candidates
-            if sign((c.x - p.center.x) * mx + (c.y - p.center.y) * my) > 0
-        ]
-        if len(arc) != 1:
-            raise AssertionError("side mediatrix must cut the arc exactly once")
-        doubled += [v, arc[0]]
-    return Polygon(n=2 * p.n, vertices=tuple(doubled), center=p.center)
+    """The 2n-gon by the doubling steps, with O the center and K the circle
+    through the first vertex; a side through O raises ValueError naming a step."""
+    labels = [f"V{i}/{p.n}" for i in range(p.n)]
+    steps, doubled = _doubling(labels)
+    bindings = dict(zip(labels, p.vertices), O=p.center, K=Circle(p.center, p.vertices[0]))
+    _run(steps, bindings)
+    return Polygon(n=2 * p.n, vertices=tuple(bindings[label] for label in doubled), center=p.center)
 
 
 def verify_regular(p: Polygon) -> Report:

@@ -5,9 +5,9 @@ it, 40 pixels from each edge.  Each coordinate is read out by the exact
 decimal printer to ``RenderConfig.digits + 4`` places, scaled to pixels in
 rationals and printed to 2 decimals, so two renders of the same trace are
 byte-identical.  ``digits`` only sets the guard precision of that read-out:
-the six supported polygons render the same bytes at every digits >= 3.
-The y-axis is flipped so the diagrams read in the usual mathematical
-orientation.
+the six SUPPORTED_POLYGONS programs, undoubled, render the same bytes at
+every digits >= 3.  The y-axis is flipped so the diagrams read in the usual
+mathematical orientation.
 """
 
 from __future__ import annotations

@@ -43,20 +43,22 @@ class TestRenderSvg:
 
 
 class TestDispatch:
-    def test_construct_writes_files(self, tmp_path, capsys):
-        svg = tmp_path / "p5.svg"
-        js = tmp_path / "p5.json"
-        assert main(["construct", "5", "--svg", str(svg), "--json", str(js)]) == 0
+    @pytest.mark.parametrize("n", ["5", "40"])
+    def test_construct_writes_files(self, n, tmp_path, capsys):
+        svg = tmp_path / "p.svg"
+        js = tmp_path / "p.json"
+        assert main(["construct", n, "--svg", str(svg), "--json", str(js)]) == 0
         data = json.loads(js.read_text())
         assert {"steps", "bindings"} == set(data)
         assert svg.read_text().startswith("<svg")
         out = capsys.readouterr().out
-        assert "regular 5-gon" in out
+        assert f"regular {n}-gon" in out
 
-    def test_construct_unsupported_n(self, capsys):
-        assert main(["construct", "7"]) == 1
+    @pytest.mark.parametrize("n", ["7", "17", "192"])
+    def test_construct_unsupported_n(self, n, capsys):
+        assert main(["construct", n]) == 1
         err = capsys.readouterr().err
-        assert "3, 4, 5, 6, 10, 20" in err
+        assert "3, 4, 5, 6, 10, 20" in err and "up to 160" in err
 
     def test_table(self, capsys):
         assert main(["table"]) == 0

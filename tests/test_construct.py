@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from straightedge.constructibility import gauss_constructible
 from straightedge.construct import (
     Polygon,
     SUPPORTED_POLYGONS,
@@ -26,6 +27,10 @@ DOUBLING = Path(__file__).parent / "golden" / "doubling.txt"
 OUTPUTS = Path(__file__).parent / "golden" / "outputs.txt"
 
 
+# construct_polygon's domain: a supported polygon doubled j times, up to 160
+ACCEPTED = sorted({m << j for m in SUPPORTED_POLYGONS for j in range(6) if m << j <= 160})
+
+
 def vertex_set_equal(ps, qs) -> bool:
     return len(ps) == len(qs) and all(any(p == q for q in qs) for p in ps)
 
@@ -37,8 +42,9 @@ class TestConstructPolygon:
         assert poly.n == n
         assert verify_regular(poly).ok
 
-    @pytest.mark.parametrize("n", SUPPORTED_POLYGONS)
+    @pytest.mark.parametrize("n", [n for n in ACCEPTED if n <= 80])
     def test_vertices_match_closed_forms(self, n):
+        assert gauss_constructible(n).constructible
         poly, _ = construct_polygon(n)
         assert poly.vertices[0] == Point.of(1, 0)
         for k, v in enumerate(poly.vertices):
@@ -76,6 +82,20 @@ class TestConstructPolygon:
             construct_polygon(7)
         with pytest.raises(ValueError, match="constructible"):
             construct_polygon(17)
+        # every n outside the domain is refused before any step runs
+        for n in set(range(-4, 400)) - set(ACCEPTED):
+            with pytest.raises(ValueError, match="no construction program .* up to 160"):
+                construct_polygon(n)
+
+    @pytest.mark.parametrize("start, n", [(4, 8), (4, 16), (4, 32), (3, 12), (3, 24), (20, 40), (20, 80)])
+    def test_doubled_programs_match_the_doubling_golden(self, start, n):
+        # The renderings of double_polygon's chains frozen in doubling.txt;
+        # the 5 -> 10 chain reaches other towers than the decagon's program.
+        want = [line.split(" ", 2)[2] for line in DOUBLING.read_text().splitlines()
+                if line.startswith(f"{start}->{n} ")]
+        poly, trace = construct_polygon(n)
+        assert [f"{v.x} {v.y}" for v in poly.vertices] == want
+        assert trace.steps[-1].selector.startswith("toward(O,")
 
 
 class TestTrace:
@@ -101,8 +121,9 @@ class TestTrace:
             assert set(again.bindings) == set(trace.bindings)
             assert trace_to_dict(again) == trace_to_dict(trace)
 
-    def test_replay_from_json(self):
-        _, trace = construct_polygon(5)
+    @pytest.mark.parametrize("n", [5, 8, 40])
+    def test_replay_from_json(self, n):
+        _, trace = construct_polygon(n)
         data = json.loads(trace_to_json(trace))
         again = replay(steps_from_dict(data))
         assert trace_to_dict(again) == data
@@ -122,18 +143,28 @@ class TestTrace:
         ("IF", lambda step: step.update(inputs=["mD", "m"])),
         ("mB", lambda step: step.update(output="m")),
         ("C", lambda step: step.update(selector="on-segment(O,A)")),
+        ("mV1/8", lambda step: step["inputs"].append("O")),
+        ("mV3/8", lambda step: step.update(inputs=["B", "K"])),
+        ("V5/8", lambda step: step.update(selector="toward(O,Z)")),
+        ("V7/8", lambda step: step.update(selector="toward(O,V5/8)")),
     ], ids=["unbound input", "unbound segment end", "line of three points",
             "select on a line", "point without coords", "intersect a point",
             "step without inputs", "coords without y", "list as a label",
             "unknown kind", "unknown selector", "parallel lines", "duplicate label",
-            "selector matches no point"])
+            "selector matches no point", "mediatrix of three points",
+            "mediatrix of a circle", "unbound toward end", "toward matches no point"])
     def test_replay_rejects_a_malformed_trace(self, label, change):
-        data = trace_to_dict(construct_polygon(5)[1])
+        # the doubling's labels V{k}/8 are those of the octagon's trace
+        data = trace_to_dict(construct_polygon(8 if "/" in label else 5)[1])
         change(next(step for step in data["steps"] if step["output"] == label))
         message = {
             "IF": "step 'IF' (intersect): parallel lines do not intersect",
             "mB": "step 'm' (line): duplicate label 'm'",
             "C": "step 'C' (select): selector 'on-segment(O,A)' matched 0 of 2 points",
+            "mV1/8": "step 'mV1/8' (mediatrix): takes 2 inputs, got 3",
+            "mV3/8": "step 'mV3/8' (mediatrix): 'K' is a Circle",
+            "V5/8": "step 'V5/8' (select): unbound label 'Z'",
+            "V7/8": "step 'V7/8' (select): selector 'toward(O,V5/8)' matched 0 of 2 points",
         }
         with pytest.raises(ValueError, match=re.escape(message.get(label, f"step {label!r}"))):
             replay(steps_from_dict(data))
@@ -142,18 +173,19 @@ class TestTrace:
         with pytest.raises(ValueError, match="step 7: not an object"):
             steps_from_dict({"steps": [7]})
 
-    def test_json_schema(self):
-        _, trace = construct_polygon(4)
+    @pytest.mark.parametrize("n", [4, 8, 40])
+    def test_json_schema(self, n):
+        _, trace = construct_polygon(n)
         data = trace_to_dict(trace)
         assert set(data) == {"steps", "bindings"}
-        kinds = {"place-point", "line", "circle", "intersect", "select"}
+        kinds = {"place-point", "line", "circle", "mediatrix", "intersect", "select"}
         for step in data["steps"]:
             assert step["kind"] in kinds
             assert isinstance(step["inputs"], list)
             assert step["output"] in data["bindings"]
         selectors = {s.get("selector") for s in data["steps"] if s["kind"] == "select"}
         assert selectors <= {"lex-min", "lex-max", "positive-y", "negative-y"} | {
-            s for s in selectors if s and s.startswith("on-segment(")
+            s for s in selectors if s and s.startswith(("on-segment(", "toward("))
         }
 
     def test_json_deterministic(self):
@@ -228,6 +260,12 @@ class TestDoublePolygon:
             p = double_polygon(p)
         p40 = double_polygon(construct_polygon(20)[0])
         assert p.vertices == p40.vertices
+
+    def test_side_through_the_center_is_refused(self):
+        triangle = Polygon(3, (Point.of(1, 0), Point.of(-1, 0), Point.of(0, 1)), Point.of(0, 0))
+        message = "step 'V1/6' (select): selector 'toward(O,V0/3)' matched 0 of 2 points"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            double_polygon(triangle)
 
     def test_doubled_is_interleaved(self):
         p4, _ = construct_polygon(4)
