@@ -25,15 +25,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
-from .trig import MAX_TRIG_DEPTH
+from . import _MAX_TRIG_DEPTH
 
-# Each command imports the modules it uses inside its function, so that a
-# cold process compiles and loads only those: `constructible` needs none of
-# the geometry, SVG or icosahedron code.  The value classes are plain
-# `__slots__` classes on `exactnum._Record`, so no command loads `inspect`,
-# `ast`, `dis` or `tokenize`, which none of them uses.
+# Each command imports the modules it uses inside its function, and the
+# package root leaves `exactnum` and `trig` unexecuted until one is used, so
+# a cold process compiles and executes only the modules its command runs:
+# `constructible` runs none of the numeric core, and so loads neither
+# `fractions` nor `decimal`.  The value classes are plain `__slots__` classes
+# on `straightedge._Record`, so no command loads `inspect`, `ast`, `dis` or
+# `tokenize`, which none of them uses.
 
 __all__ = ["main"]
 
@@ -112,6 +113,8 @@ def _cmd_table(_args) -> int:
 
 
 def _cmd_trig(args) -> int:
+    from fractions import Fraction
+
     from .exactnum import approx
     from .trig import Angle, sin_cos, tan
 
@@ -120,7 +123,7 @@ def _cmd_trig(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot read {args.degrees!r} as a rational number of degrees")
     angle = Angle(degrees)
-    # tan refuses an angle beyond MAX_TRIG_DEPTH at once, before anything is
+    # tan refuses an angle beyond trig.MAX_TRIG_DEPTH at once, before anything is
     # printed or derived.
     t = tan(angle) if degrees != 90 else None
     s, c = sin_cos(angle)
@@ -193,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser(
-        "trig", help=f"exact trig of a 3*m/2^k degree angle, k <= {MAX_TRIG_DEPTH}"
+        "trig", help=f"exact trig of a 3*m/2^k degree angle, k <= {_MAX_TRIG_DEPTH}"
     )
     p.add_argument("degrees")
     p.set_defaults(func=_cmd_trig)

@@ -22,7 +22,8 @@ import json
 import re
 from operator import index
 
-from .exactnum import _Record, parse, sign
+from . import _Record
+from .exactnum import parse, sign
 from .geom import (
     Circle,
     Line,
@@ -36,7 +37,6 @@ from .geom import (
     perpendicular_bisector,
 )
 from .reporting import Check, Report, _unequal
-from .trig import side_length
 
 __all__ = [
     "Step",
@@ -455,6 +455,9 @@ def double_polygon(p: Polygon) -> Polygon:
 def verify_regular(p: Polygon) -> Report:
     """Exact regularity report: unit radii, equal chords, distinct vertices,
     and (when 180/n is on the trig grid) the chord against 2*sin(180/n)."""
+    # Imported here: `construct` without a regularity check needs no trig.
+    from .trig import side_length
+
     checks: list[Check] = []
 
     bad_radius = [

@@ -22,12 +22,11 @@ which can also happen in range, to two prime factors above about 10^12.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 from itertools import compress
 from math import gcd, isqrt
 from operator import index
 
-from .exactnum import _Record
+from . import _Record
 
 __all__ = [
     "Refusal",
@@ -113,12 +112,14 @@ def smallest_prime_factor(m: int) -> int:
     m = index(m)
     if m < 2:
         raise ValueError("need an integer >= 2")
-    for p in _trial_primes():
+    for p in _trial_primes(m):
         if p * p > m:
             return m
         if m % p == 0:
             return p
-    return factorize(m)[0][0]
+    # No prime through isqrt(m), or below _TRIAL_BOUND, divides m: below
+    # _TRIAL_BOUND**2 either makes m prime.
+    return m if m < _TRIAL_BOUND**2 else factorize(m)[0][0]
 
 
 def factorize(m: int) -> list[tuple[int, int]]:
@@ -131,7 +132,7 @@ def factorize(m: int) -> list[tuple[int, int]]:
     if m < 1:
         raise ValueError("need a positive integer")
     primes: list[int] = []
-    for p in _trial_primes():
+    for p in _trial_primes(m):
         if p * p > m:
             break
         while m % p == 0:
@@ -150,15 +151,32 @@ def factorize(m: int) -> list[tuple[int, int]]:
     return sorted(Counter(primes).items())
 
 
-@cache
-def _trial_primes() -> tuple[int, ...]:
-    """The primes below _TRIAL_BOUND, by a sieve built on first use."""
-    sieve = bytearray([1]) * _TRIAL_BOUND
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(_TRIAL_BOUND - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
-    return tuple(compress(range(_TRIAL_BOUND), sieve))
+# (bound, the primes below it): the table `_trial_primes` has sieved so far.
+# Threads may sieve at once; each returns a table that covers its own m.
+_sieved: tuple[int, tuple[int, ...]] = (0, ())
+
+
+def _trial_primes(m: int) -> tuple[int, ...]:
+    """The ascending primes below a bound above isqrt(m), or below
+    _TRIAL_BOUND when that is lower.
+
+    The table is sieved when first needed and kept, and a larger m at least
+    doubles its bound: a small m sieves a few primes, and the full table is
+    sieved once.
+    """
+    global _sieved
+    bound, primes = _sieved
+    root = isqrt(m)
+    if bound <= root and bound < _TRIAL_BOUND:
+        bound = min(max(root + 1, 2 * bound), _TRIAL_BOUND)
+        sieve = bytearray([1]) * bound
+        sieve[:2] = b"\0\0"
+        for p in range(2, isqrt(bound - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+        primes = tuple(compress(range(bound), sieve))
+        _sieved = bound, primes
+    return primes
 
 
 def _rho(n: int) -> int:

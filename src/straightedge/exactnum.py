@@ -36,49 +36,6 @@ __all__ = [
 ]
 
 
-class _Record:
-    """Base of the package's immutable value classes (points, steps, reports).
-
-    A subclass names its fields in ``_fields`` and its slots in ``__slots__``:
-    the fields, then any value derived from them.  Its ``__init__`` validates
-    and hands every slot value to ``_init``.  ``==`` (between instances of
-    one class), ``hash``, ``repr`` and pickling go field by field, and
-    assignment raises AttributeError.  It lives here because the package
-    imports this module first, so no import path loads a module for it.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...]
-
-    def _init(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class Constructible:
     """Immutable constructible real.
 

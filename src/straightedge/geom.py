@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from functools import cmp_to_key
 
-from .exactnum import Constructible, ONE, ZERO, _Record, sign, sqrt
+from . import _Record
+from .exactnum import Constructible, ONE, ZERO, sign, sqrt
 
 __all__ = [
     "Point",

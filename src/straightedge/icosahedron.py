@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .exactnum import Constructible, ONE, ZERO, _Record, _digits, approx, sign, sqrt
+from . import _Record
+from .exactnum import Constructible, ONE, ZERO, _digits, approx, sign, sqrt
 from .reporting import Check, Report, _unequal
 
 __all__ = [

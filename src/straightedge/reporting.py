@@ -6,7 +6,8 @@ an invalid object instead of refusing to look at it.
 
 from __future__ import annotations
 
-from .exactnum import _Record, sign
+from . import _Record
+from .exactnum import sign
 
 
 class Check(_Record):

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _Record
 from .construct import Polygon, Trace
-from .exactnum import _Record, _decimal, _digits, approx, sqrt
+from .exactnum import _decimal, _digits, approx, sqrt
 from .geom import Circle, Line, Point
 
 __all__ = ["RenderConfig", "render_svg"]

@@ -24,7 +24,8 @@ import threading
 from fractions import Fraction
 from operator import index
 
-from .exactnum import Constructible, ONE, ZERO, _Record, _adjoin, sign
+from . import _MAX_TRIG_DEPTH, _Record
+from .exactnum import Constructible, ONE, ZERO, _adjoin, sign
 
 __all__ = [
     "Angle",
@@ -79,7 +80,8 @@ class Angle(_Record):
 # Deepest dyadic subdivision 3*m/2^k that `tan` computes.  tan(3/2^k) is a
 # dense tower element whose rendering doubles with each k (7,851 characters at
 # k = 5); from an empty memo it takes 0.005 s at k = 5 and 0.02 s at k = 8.
-MAX_TRIG_DEPTH = 5
+# The value is set on the package root, which the CLI reads it from.
+MAX_TRIG_DEPTH = _MAX_TRIG_DEPTH
 
 _memo: dict[tuple[int, int], tuple[Constructible, Constructible]] = {}
 _memo_lock = threading.RLock()

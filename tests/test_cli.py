@@ -8,12 +8,87 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
+from conftest import run_fresh
 from straightedge.cli import MAX_DIGITS, main
 from straightedge.construct import construct_polygon
 from straightedge.svg import RenderConfig, render_svg
 from straightedge.construct import Trace
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# `straightedge --help` and each subcommand's, at 100 columns (at 80, Python
+# 3.13 wraps the top usage line otherwise) under the default int-to-str limit.
+HELP = {
+    "": """\
+usage: straightedge [-h] {construct,table,trig,constructible,icosahedron,verify} ...
+
+Exact straightedge-and-compass constructions.
+
+positional arguments:
+  {construct,table,trig,constructible,icosahedron,verify}
+    construct           construct a regular polygon
+    table               print the classical trig tables
+    trig                exact trig of a 3*m/2^k degree angle, k <= 5
+    constructible       Gauss-Wantzel verdict for n
+    icosahedron         build and export the icosahedron
+    verify              run the exact invariant suite
+
+options:
+  -h, --help            show this help message and exit
+""",
+    "construct": """\
+usage: straightedge construct [-h] [--svg PATH] [--json PATH] [--digits DIGITS] [--no-labels] n
+
+positional arguments:
+  n
+
+options:
+  -h, --help       show this help message and exit
+  --svg PATH
+  --json PATH
+  --digits DIGITS  places (plus 4 guard places) of the decimal each SVG pixel coordinate is
+                   rounded from; pixels print to 2 decimals; 1..4295
+  --no-labels
+""",
+    "table": """\
+usage: straightedge table [-h]
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "trig": """\
+usage: straightedge trig [-h] degrees
+
+positional arguments:
+  degrees
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "constructible": """\
+usage: straightedge constructible [-h] n
+
+positional arguments:
+  n
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "icosahedron": """\
+usage: straightedge icosahedron [-h] [--obj PATH] [--digits DIGITS]
+
+options:
+  -h, --help       show this help message and exit
+  --obj PATH
+  --digits DIGITS  OBJ decimals, 1..4295
+""",
+    "verify": """\
+usage: straightedge verify [-h]
+
+options:
+  -h, --help  show this help message and exit
+""",
+}
 
 
 class TestRenderSvg:
@@ -159,6 +234,29 @@ class TestDispatch:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_help_texts_are_pinned(self):
+        # In a fresh interpreter, which then shows that stating the trig
+        # depth ceiling executed no `trig`.
+        texts, trig_executed = run_fresh(
+            "import contextlib, io, os\n"
+            "os.environ['COLUMNS'] = '100'\n"
+            "sys.set_int_max_str_digits(4300)\n"
+            "from straightedge import cli\n"
+            "texts = {}\n"
+            f"for command in {sorted(HELP)!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        try:\n"
+            "            cli.main([*command.split(), '--help'])\n"
+            "        except SystemExit as exc:\n"
+            "            assert exc.code == 0, exc.code\n"
+            "    texts[command] = out.getvalue()\n"
+            "trig = sys.modules['straightedge.trig']\n"
+            "print(json.dumps([texts, type(trig) is type(sys)]))"
+        )
+        assert texts == HELP
+        assert not trig_executed
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as exc:

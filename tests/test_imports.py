@@ -82,6 +82,73 @@ def test_cold_path_loads_neither_dataclasses_nor_inspect(path, tmp_path):
     assert heavy == []
 
 
+# A module counts as executed once it is in sys.modules as a plain module: the
+# package root enters `exactnum` and `trig` there as lazy modules, whose type
+# changes when they execute.  `type` reads no attribute, so it executes none.
+EXECUTED = "[m for m in {names!r} if type(sys.modules.get(m)) is type(sys)]"
+
+# What a cold path runs without: `constructible` uses none of the numeric core,
+# and so none of `fractions` and `decimal`, which only the core imports;
+# `construct` and `icosahedron` use no trig.
+UNUSED = {
+    "constructible": ("straightedge.exactnum", "straightedge.trig", "fractions", "decimal"),
+    "construct": ("straightedge.trig",),
+    "icosahedron": ("straightedge.trig",),
+}
+
+
+@pytest.mark.parametrize("path", sorted(UNUSED))
+def test_cold_path_executes_only_the_modules_it_uses(path, tmp_path):
+    executed = run_fresh(
+        COLD_PATHS[path].replace("{tmp}", str(tmp_path))
+        + f"\nprint(json.dumps({EXECUTED.format(names=UNUSED[path])}))"
+    )
+    assert executed == []
+
+
+def test_trig_executes_in_place_on_first_use():
+    # The benchmark reads `sys.modules["straightedge.trig"]._memo` right after
+    # `import straightedge`: that must be the memo `sin_cos` fills.
+    before, after, shared = run_fresh(
+        "import straightedge\n"
+        "trig = sys.modules['straightedge.trig']\n"
+        "before = type(trig) is type(sys)\n"
+        "straightedge.sin_cos(45)\n"
+        "print(json.dumps([before, type(trig) is type(sys),\n"
+        "    trig._memo is straightedge.trig._memo and (45, 1) in trig._memo]))"
+    )
+    assert (before, after, shared) == (False, True, True)
+
+
+def test_first_reads_from_many_threads_see_executed_modules():
+    # Threads that read the unexecuted core at once: each must wait for the
+    # one executing it, not read a name it has not bound yet.
+    errors, alive = run_fresh(
+        "import os, threading\n"
+        "import straightedge\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "errors = []\n"
+        "def read(i):\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        if i % 2:\n"
+        "            straightedge.exactnum.sqrt(2)\n"
+        "        else:\n"
+        "            straightedge.trig.sin_cos(45)\n"
+        "    except Exception as exc:\n"
+        "        errors.append(repr(exc))\n"
+        "count = (os.cpu_count() or 1) + 4\n"
+        "barrier = threading.Barrier(count, timeout=30)\n"
+        "threads = [threading.Thread(target=read, args=(i,)) for i in range(count)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(30)\n"
+        "print(json.dumps([errors, sum(t.is_alive() for t in threads)]))"
+    )
+    assert (errors, alive) == ([], 0)
+
+
 def test_all_is_the_public_surface():
     assert len(ALL_NAMES) == 48
     assert sorted(straightedge.__all__) == ALL_NAMES
