@@ -10,8 +10,10 @@ constructible-number tower with zero floating point in the core.
 that execute on the first read of one of their attributes.  Every other
 public name is imported from its submodule the first time it is read
 (PEP 562).  So a cold process compiles only the modules it uses:
-``straightedge constructible`` runs without the numeric core, and with it
-without ``fractions`` and ``decimal``.
+``straightedge constructible`` runs without the numeric core.  The core
+computes on ints and imports ``fractions`` only where a Fraction is passed
+in or asked for, so ``import straightedge; sin_cos(45)`` loads none of
+``fractions``, ``decimal`` and ``numbers``.
 """
 
 import sys

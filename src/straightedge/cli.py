@@ -31,10 +31,12 @@ from . import _MAX_TRIG_DEPTH
 # Each command imports the modules it uses inside its function, and the
 # package root leaves `exactnum` and `trig` unexecuted until one is used, so
 # a cold process compiles and executes only the modules its command runs:
-# `constructible` runs none of the numeric core, and so loads neither
-# `fractions` nor `decimal`.  The value classes are plain `__slots__` classes
-# on `straightedge._Record`, so no command loads `inspect`, `ast`, `dis` or
-# `tokenize`, which none of them uses.
+# `constructible` runs none of the numeric core.  The core computes on ints
+# and loads `fractions` (and with it `decimal` and `numbers`) only where a
+# Fraction crosses the API, so of the commands only `trig`, which reads its
+# angle as one, and `verify` load it.  The value classes are plain
+# `__slots__` classes on `straightedge._Record`, so no command loads
+# `inspect`, `ast`, `dis` or `tokenize`, which none of them uses.
 
 __all__ = ["main"]
 

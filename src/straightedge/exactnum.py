@@ -21,7 +21,8 @@ and approx of one value, share it.  No floating point is used anywhere.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+import sys
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import index
 
@@ -43,8 +44,10 @@ class Constructible:
 
     * rational: ``r is None`` and the value is ``a/b`` for ints ``a`` and
       ``b > 0`` in lowest terms, a Fraction's numerator and denominator
-      (a Fraction is read or built only where a value enters or leaves:
-      :meth:`of`, operand coercion, :meth:`as_fraction` and :func:`parse`);
+      (a Fraction is read or built only where one crosses the API: read by
+      :meth:`of` and operand coercion, built by :meth:`as_fraction` and by
+      the hash of a non-integer rational; :func:`parse` reads ``p/q`` as
+      ints, so code that passes no Fraction never imports ``fractions``);
     * extension: ``a``, ``b``, ``r`` are Constructible and the value is
       ``a + b*sqrt(r)`` with ``b != 0`` and ``r > 0``.
 
@@ -81,9 +84,10 @@ class Constructible:
     def is_rational(self) -> bool:
         return self.r is None
 
-    def as_fraction(self) -> Fraction:
+    def as_fraction(self):
+        """The rational value as a ``fractions.Fraction``."""
         if self.r is None:
-            return Fraction(self.a, self.b)
+            return _fraction_class()(self.a, self.b)
         raise ValueError("value is not represented as a rational")
 
     # -- rendering / parsing ----------------------------------------------
@@ -131,8 +135,10 @@ class Constructible:
         if self._hash is None:
             if self.r is not None:
                 self._hash = hash(("Constructible", approx(self, 24)))
+            elif self.b == 1:
+                self._hash = hash(self.a)
             else:
-                self._hash = hash(self.a) if self.b == 1 else hash(Fraction(self.a, self.b))
+                self._hash = hash(_fraction_class()(self.a, self.b))
         return self._hash
 
     def __bool__(self) -> bool:
@@ -195,9 +201,24 @@ class Constructible:
 def _coerce(x):
     if isinstance(x, Constructible):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, int) or _is_fraction(x):
         return Constructible(x.numerator, x.denominator)
     return None
+
+
+def _is_fraction(x) -> bool:
+    """Whether x is a Fraction, without importing ``fractions``: no Fraction
+    exists before that module has defined the class."""
+    return isinstance(x, getattr(sys.modules.get("fractions"), "Fraction", ()))
+
+
+@cache
+def _fraction_class() -> type:
+    """``fractions.Fraction``, imported (with ``decimal`` and ``numbers``) on
+    the first call, where a Fraction is first built."""
+    from fractions import Fraction
+
+    return Fraction
 
 
 def _add_q(na: int, da: int, nb: int, db: int) -> Constructible:
@@ -606,7 +627,7 @@ def _decimal(n: int, places: int) -> str:
 
 # -- canonical text parsing ----------------------------------------------------
 
-_NUMBER = re.compile(r"-?\d+(?:/\d+)?")
+_NUMBER = re.compile(r"(-?)(\d+)(?:/(\d+))?")
 
 # Deepest nesting `parse` accepts.  Parsing a value, then printing it and
 # taking its sign and decimals, took D + 10 stack frames for D parentheses
@@ -664,4 +685,11 @@ def _parse_value(s: str) -> tuple[Constructible, str]:
     m = _NUMBER.match(s)
     if not m:
         raise ValueError(f"expected a rational at {s[:20]!r}")
-    return Constructible.of(Fraction(m.group())), s[m.end():]
+    # The leaf p/q from ints, as Fraction(p/q) reads it: each part within the
+    # int-string limit, the sign taken after, and the same ZeroDivisionError.
+    negative, p, q = m.groups()
+    p, q = -int(p) if negative else int(p), int(q) if q else 1
+    if q == 0:
+        raise ZeroDivisionError(f"Fraction({p}, 0)")
+    g = gcd(p, q)
+    return Constructible(p // g, q // g), s[m.end():]

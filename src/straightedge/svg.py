@@ -3,16 +3,15 @@
 Every diagram is a 640 x 640 pixel frame with the unit circle centered in
 it, 40 pixels from each edge.  Each coordinate is read out by the exact
 decimal printer to ``RenderConfig.digits + 4`` places, scaled to pixels in
-rationals and printed to 2 decimals, so two renders of the same trace are
-byte-identical.  ``digits`` only sets the guard precision of that read-out:
-the six SUPPORTED_POLYGONS programs, undoubled, render the same bytes at
-every digits >= 3.  The y-axis is flipped so the diagrams read in the usual
+integers (units of 10**-(digits + 4) pixels) and printed to 2 decimals,
+rounded half up, so two renders of the same trace are byte-identical.
+``digits`` only sets the guard precision of that read-out: the six
+SUPPORTED_POLYGONS programs, undoubled, render the same bytes at every
+digits >= 3.  The y-axis is flipped so the diagrams read in the usual
 mathematical orientation.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import _Record
 from .construct import Polygon, Trace
@@ -32,10 +31,10 @@ class RenderConfig(_Record):
         self._init(_digits(digits), labels)
 
 
-def _fmt(value: Fraction, places: int = 2) -> str:
-    scaled = value * 10**places
-    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    return _decimal(n, places)
+def _fmt(value: int, places: int) -> str:
+    """value / 10**places pixels (places >= 2) to 2 decimals, ties rounded up."""
+    unit = 10 ** (places - 2)
+    return _decimal((value + unit // 2) // unit, 2)
 
 
 def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon | None = None) -> str:
@@ -47,14 +46,20 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
     circles.
     """
     cfg = cfg or RenderConfig()
-    scale = Fraction(_SIZE - 2 * _MARGIN, 2)
-    center = Fraction(_SIZE, 2)
+    places = cfg.digits + 4
+    pixel = 10**places  # every coordinate below is an int in units of 1/pixel
+    scale = (_SIZE - 2 * _MARGIN) // 2
+    center = _SIZE // 2 * pixel
 
-    def length(value) -> Fraction:
-        return scale * Fraction(approx(value, cfg.digits + 4))
+    def length(value) -> int:
+        # approx's text without its point is the value in units of 1/pixel.
+        return scale * int(approx(value, places).replace(".", ""))
 
-    def at(p: Point) -> tuple[Fraction, Fraction]:
+    def at(p: Point) -> tuple[int, int]:
         return center + length(p.x), center - length(p.y)
+
+    def fmt(value: int) -> str:
+        return _fmt(value, places)
 
     body: list[str] = []
     origin = Point.of(0, 0)
@@ -68,33 +73,33 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
             )
             cx, cy = at(obj.center)
             body.append(
-                f'<circle class="{kind}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(length(sqrt(obj.radius_sq)))}" />'
+                f'<circle class="{kind}" cx="{fmt(cx)}" cy="{fmt(cy)}" '
+                f'r="{fmt(length(sqrt(obj.radius_sq)))}" />'
             )
         elif isinstance(obj, Line):
             # Stretch the defining segment far beyond the viewport; SVG clips it.
             (x1, y1), (x2, y2) = at(obj.p), at(obj.q)
             dx, dy = x2 - x1, y2 - y1
             body.append(
-                f'<line class="construction" x1="{_fmt(x1 - 20 * dx)}" '
-                f'y1="{_fmt(y1 - 20 * dy)}" x2="{_fmt(x2 + 20 * dx)}" '
-                f'y2="{_fmt(y2 + 20 * dy)}" />'
+                f'<line class="construction" x1="{fmt(x1 - 20 * dx)}" '
+                f'y1="{fmt(y1 - 20 * dy)}" x2="{fmt(x2 + 20 * dx)}" '
+                f'y2="{fmt(y2 + 20 * dy)}" />'
             )
         elif isinstance(obj, Point):
             px, py = at(obj)
             body.append(
-                f'<circle class="marker" cx="{_fmt(px)}" cy="{_fmt(py)}" r="3" />'
+                f'<circle class="marker" cx="{fmt(px)}" cy="{fmt(py)}" r="3" />'
             )
             if cfg.labels:
                 body.append(
-                    f'<text class="label" x="{_fmt(px + 5)}" y="{_fmt(py - 5)}">'
+                    f'<text class="label" x="{fmt(px + 5 * pixel)}" y="{fmt(py - 5 * pixel)}">'
                     f"{step.output}</text>"
                 )
         # intersection pairs are drawn via their select steps
 
     if polygon is not None:
         points = " ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in map(at, polygon.vertices)
+            f"{fmt(x)},{fmt(y)}" for x, y in map(at, polygon.vertices)
         )
         body.append(f'<polygon class="result" points="{points}" />')
 

@@ -15,17 +15,19 @@ Dyadic subdivisions come from the half-angle formulas on the positive branch
 tower of cos(2*deg), which cannot succeed: for m odd and k >= 1 the field of
 sin and cos of 3m/2^k holds cos(360/2^(k+3) degrees), and that tower lies in
 a Q(zeta_n) with 2^(k+3) not dividing n.  Each angle is derived once, memoized
-by the ints (n, d) of n/d degrees; only `Angle`, at the boundary, reads a Fraction.
+by the ints (n, d) of n/d degrees.  An int angle, or an `Angle`, is read as
+that pair directly; only a str or Fraction angle, and `Angle` itself, use a
+Fraction, so `sin_cos(45)` and `side_length(5)` import no ``fractions``.
 """
 
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
+from math import gcd
 from operator import index
 
 from . import _MAX_TRIG_DEPTH, _Record
-from .exactnum import Constructible, ONE, ZERO, _adjoin, sign
+from .exactnum import Constructible, ONE, ZERO, _adjoin, _fraction_class, sign
 
 __all__ = [
     "Angle",
@@ -42,31 +44,40 @@ def _on_grid(n: int, d: int) -> bool:
     return n > 0 and n % 3 == 0 and d & (d - 1) == 0
 
 
-def _read_degrees(value) -> Fraction:
-    """The degrees of an int, str, Fraction or Angle; a float, being inexact,
-    or any other type raises TypeError."""
+def _text(n: int, d: int) -> str:
+    """n/d (lowest terms, d > 0) as str(Fraction(n, d)) prints it."""
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _check_angle(n: int, d: int) -> None:
+    """Refuse n/d degrees (lowest terms, d > 0) outside (0, 90] or off the grid."""
+    if not 0 < n <= 90 * d:
+        raise ValueError(f"{_text(n, d)} degrees is outside (0, 90]")
+    if not _on_grid(n, d):
+        raise ValueError(f"{_text(n, d)} degrees is off the constructible grid 3*m/2^k")
+
+
+def _read_degrees(value):
+    """The degrees of an int, str, Fraction or Angle, as a Fraction; a float,
+    being inexact, or any other type raises TypeError."""
     if isinstance(value, Angle):
         return value.degrees
+    Fraction = _fraction_class()
     if isinstance(value, (int, str, Fraction)):
         return Fraction(value)
     raise TypeError(f"cannot read an angle from {type(value).__name__}")
 
 
 class Angle(_Record):
-    """An angle in degrees of the form 3*m / 2**k, restricted to (0, 90]."""
+    """An angle in degrees of the form 3*m / 2**k, restricted to (0, 90];
+    ``degrees`` is a Fraction."""
 
     __slots__ = _fields = ("degrees",)
 
-    def __init__(self, degrees: Fraction):
-        if not isinstance(degrees, Fraction):
+    def __init__(self, degrees):
+        if not isinstance(degrees, _fraction_class()):
             raise TypeError("degrees must be a Fraction")
-        n, d = degrees.numerator, degrees.denominator
-        if not 0 < n <= 90 * d:
-            raise ValueError(f"{degrees} degrees is outside (0, 90]")
-        if not _on_grid(n, d):
-            raise ValueError(
-                f"{degrees} degrees is off the constructible grid 3*m/2^k"
-            )
+        _check_angle(degrees.numerator, degrees.denominator)
         self._init(degrees)
 
     @classmethod
@@ -138,7 +149,11 @@ def _sin_cos_raw(n: int, d: int) -> tuple[Constructible, Constructible]:
 
 
 def _degrees(angle, cap: int, fn: str) -> tuple[int, int]:
-    """(n, d) of a grid angle of n/d degrees; 3*m/2^k with k > cap is refused."""
+    """(n, d) of a grid angle of n/d degrees; 3*m/2^k with k > cap is refused.
+    An int is read as (n, 1) without building a Fraction or an Angle."""
+    if isinstance(angle, int):
+        _check_angle(angle.numerator, 1)
+        return angle.numerator, 1
     deg = Angle.of(angle).degrees
     depth = deg.denominator.bit_length() - 1
     if depth > cap:
@@ -169,12 +184,14 @@ def side_length(n: int) -> Constructible:
     n = index(n)
     if n < 3:
         raise ValueError("n must be an integer >= 3")
-    deg = Fraction(180, n)
-    if not _on_grid(deg.numerator, deg.denominator):
+    g = gcd(180, n)
+    p, q = 180 // g, n // g
+    if not _on_grid(p, q):
         raise ValueError(
-            f"180/{n} = {deg} degrees is off the constructible grid 3*m/2^k"
+            f"180/{n} = {_text(p, q)} degrees is off the constructible grid 3*m/2^k"
         )
-    s, _ = sin_cos(Angle(deg))
+    # Through sin_cos, which reads a whole number of degrees with no Fraction.
+    s, _ = sin_cos(p if q == 1 else Angle(_fraction_class()(p, q)))
     return 2 * s
 
 
@@ -186,7 +203,7 @@ def max_building_height(distance, angle) -> Constructible:
     return d * tan(angle)
 
 
-def point_on_circle(degrees: Fraction) -> tuple[Constructible, Constructible]:
+def point_on_circle(degrees) -> tuple[Constructible, Constructible]:
     """Exact (cos, sin) of any grid multiple, for vertex checks: the point
     for the remainder below 90 degrees, turned a quarter turn once per whole
     quadrant."""

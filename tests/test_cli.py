@@ -3,16 +3,20 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import run_fresh
 from straightedge.cli import MAX_DIGITS, main
 from straightedge.construct import construct_polygon
-from straightedge.svg import RenderConfig, render_svg
+from straightedge.svg import RenderConfig, _fmt, render_svg
 from straightedge.construct import Trace
+from straightedge.exactnum import _decimal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -115,6 +119,33 @@ class TestRenderSvg:
     def test_labels_toggle(self):
         _, trace = construct_polygon(4)
         assert "<text" not in render_svg(trace, RenderConfig(labels=False))
+
+
+def _fraction_fmt(value: Fraction) -> str:
+    """Pixels to 2 decimals, ties up, as the SVG printed them from Fractions."""
+    scaled = value * 100
+    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    return _decimal(n, 2)
+
+
+class TestPixelRounding:
+    """`_fmt` on ints in units of 10**-places pixels against the Fraction formula."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-(10**12), 10**12), st.integers(2, 12))
+    def test_random_values(self, value, places):
+        assert _fmt(value, places) == _fraction_fmt(Fraction(value, 10**places))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(10**6), 10**6), st.integers(3, 12), st.integers(-1, 1))
+    def test_ties_at_half_a_hundredth(self, hundredths, places, nudge):
+        # hundredths + 1/2 hundredths of a pixel, exactly or one unit either side.
+        value = (2 * hundredths + 1) * 10 ** (places - 2) // 2 + nudge
+        assert _fmt(value, places) == _fraction_fmt(Fraction(value, 10**places))
+
+    def test_signs_near_zero(self):
+        for value in (-5000, -5001, -4999, -15000, 5000, 4999, 0):
+            assert _fmt(value, 6) == _fraction_fmt(Fraction(value, 10**6))
 
 
 class TestDispatch:

@@ -87,13 +87,19 @@ def test_cold_path_loads_neither_dataclasses_nor_inspect(path, tmp_path):
 # changes when they execute.  `type` reads no attribute, so it executes none.
 EXECUTED = "[m for m in {names!r} if type(sys.modules.get(m)) is type(sys)]"
 
-# What a cold path runs without: `constructible` uses none of the numeric core,
-# and so none of `fractions` and `decimal`, which only the core imports;
-# `construct` and `icosahedron` use no trig.
+# `fractions` imports `decimal` and `numbers`.  The package loads it only
+# where a Fraction is passed in or built, as `trig` and `verify` do.
+FRACTIONS = ("fractions", "decimal", "numbers")
+
+# What a cold path runs without: `constructible` uses none of the numeric core;
+# `construct` and `icosahedron` use no trig; and the set-up probe, `table`,
+# `construct` and `icosahedron` compute on ints and pass in no Fraction.
 UNUSED = {
-    "constructible": ("straightedge.exactnum", "straightedge.trig", "fractions", "decimal"),
-    "construct": ("straightedge.trig",),
-    "icosahedron": ("straightedge.trig",),
+    "import": FRACTIONS,
+    "constructible": ("straightedge.exactnum", "straightedge.trig", *FRACTIONS),
+    "table": FRACTIONS,
+    "construct": ("straightedge.trig", *FRACTIONS),
+    "icosahedron": ("straightedge.trig", *FRACTIONS),
 }
 
 

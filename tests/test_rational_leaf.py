@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_fresh
 from straightedge.exactnum import Constructible, _enclose, approx, parse, sign, sqrt
 
 C = Constructible.of
@@ -95,6 +96,59 @@ class TestLeafAgainstFraction:
         assert z.a.as_fraction() == p / s and z.b.as_fraction() == q / s
 
 
+def _read(read, text: str):
+    """The leaf ``read`` makes of ``text``, or the type and text of its error."""
+    try:
+        x = read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return x.a, x.b, x.r
+
+
+def _fraction_leaf(text: str) -> Constructible:
+    return Constructible.of(Fraction(text))
+
+
+def _leaf_text(sign: str, p: int, q, g: int, zeros: int) -> str:
+    text = sign + "0" * zeros + str(p * g)
+    return text if q is None else f"{text}/{'0' * zeros}{q * g}"
+
+
+# Leaf texts p or p/q: either sign, zero (q = 0 too), leading zeros and terms
+# that share the factor g.
+LEAF_TEXTS = st.builds(
+    _leaf_text,
+    st.sampled_from(["", "-"]),
+    st.integers(0, 10**30),
+    st.none() | st.integers(0, 10**30),
+    st.integers(1, 10**30),
+    st.integers(0, 2),
+)
+
+
+class TestParsedLeafAgainstFraction:
+    """`parse` reads ``p/q`` as ints in lowest terms, as Fraction(text) did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(LEAF_TEXTS)
+    def test_leaf(self, text):
+        assert _read(parse, text) == _read(_fraction_leaf, text)
+
+    @pytest.mark.parametrize(
+        "text", ["0", "-0", "-0/5", "0/0", "-0/0", "-3/0", "007/014", "-6/4", "\u0663/\u0666"]
+    )
+    def test_edge_leaves(self, text):
+        assert _read(parse, text) == _read(_fraction_leaf, text)
+
+    @pytest.mark.parametrize(
+        "text", ["1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1" * 4300 + "/3"]
+    )
+    def test_leaf_past_the_int_string_limit(self, text):
+        # Under the default limit of 4300 digits each side raises the same
+        # ValueError; a 4300-digit part is read.
+        assert _read(parse, text) == _read(_fraction_leaf, text)
+
+
 class _Int(int):
     pass
 
@@ -123,3 +177,38 @@ class TestBoundaryInputs:
     def test_float_rejected(self):
         with pytest.raises(TypeError):
             Constructible.of(1.5)
+
+    def test_first_fraction_made_after_exactnum_executed(self):
+        # `exactnum` recognizes a Fraction without importing `fractions`, so
+        # a Fraction made only after it executed must still be accepted.
+        out = run_fresh(
+            "from straightedge.exactnum import ONE, Constructible\n"
+            "before = [m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules]\n"
+            "from decimal import Decimal\n"
+            "from fractions import Fraction\n"
+            "class Half(Fraction):\n"
+            "    pass\n"
+            "of = Constructible.of\n"
+            "def type_error(f, *args):\n"
+            "    try:\n"
+            "        f(*args)\n"
+            "    except TypeError as exc:\n"
+            "        return str(exc)\n"
+            "print(json.dumps([before, of(Fraction(1, 2)) in {Fraction(1, 2)},\n"
+            "    hash(of(Fraction(-6, 4))) == hash(Fraction(-3, 2)), str(of(True)),\n"
+            "    str(of(Half(6, 4)) + Half(1, 2)), str(ONE / Fraction(3)),\n"
+            "    of(Half(1, 2)) == Half(1, 2), type(of(Half(1, 2)).as_fraction()).__name__,\n"
+            "    [type_error(of, v) for v in (1.5, Decimal('1.5'))],\n"
+            "    [type_error(lambda v: ONE + v, v) for v in (1.5, Decimal('1.5'))]]))"
+        )
+        assert out == [
+            [], True, True, "1", "2", "1/3", True, "Fraction",
+            [
+                "floats are inexact; pass an int, Fraction or string",
+                "cannot make a Constructible from Decimal",
+            ],
+            [
+                "unsupported operand type(s) for +: 'Constructible' and 'float'",
+                "unsupported operand type(s) for +: 'Constructible' and 'decimal.Decimal'",
+            ],
+        ]

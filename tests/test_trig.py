@@ -267,6 +267,49 @@ class TestTan:
         assert time.perf_counter() - started < 1.0
 
 
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of its error."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_side_length(n: int) -> Constructible:
+    # side_length as it read 180/n degrees through a Fraction and an Angle.
+    deg = Fraction(180, n)
+    if not trig._on_grid(deg.numerator, deg.denominator):
+        raise ValueError(f"180/{n} = {deg} degrees is off the constructible grid 3*m/2^k")
+    return 2 * sin_cos(Angle(deg))[0]
+
+
+class _Int(int):
+    pass
+
+
+class TestIntAnglesAgainstFraction:
+    """sin_cos and tan read an int as the pair (n, 1), and side_length reads
+    180/n as an int pair; each result or error must be the Fraction path's."""
+
+    @pytest.mark.parametrize("fn", [sin_cos, tan])
+    def test_int_degrees(self, fn):
+        for deg in [*range(-3, 100), True, False, _Int(45)]:
+            assert _outcome(fn, deg) == _outcome(fn, Fraction(deg)), deg
+
+    def test_side_length(self):
+        for n in [*range(3, 400), 15 * 2**303, _Int(5)]:
+            assert _outcome(side_length, n) == _outcome(_fraction_side_length, n), n
+
+    def test_side_length_goes_through_sin_cos(self, monkeypatch):
+        # The benchmark's spans count sin_cos calls, verify_regular's included.
+        calls = []
+        real = trig.sin_cos
+        monkeypatch.setattr(trig, "sin_cos", lambda angle: calls.append(angle) or real(angle))
+        side_length(5)
+        side_length(8)
+        assert calls == [36, Angle(Fraction(45, 2))] and type(calls[0]) is int
+
+
 class TestSideLength:
     def test_classical_values(self):
         assert sign(side_length(3) - sqrt(3)) == 0
