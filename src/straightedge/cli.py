@@ -3,7 +3,8 @@
 Subcommands:
 
   construct <n> [--svg PATH] [--json PATH]   build the n-gon and its trace, for
-                                             n = 3, 4, 5, 6, 10 or 20 times 2^j <= 160
+            [--no-labels]                    n = 3, 4, 5, 6, 10 or 20 times 2^j <= 160;
+                                             SVG pixels print to 2 decimals
   table                                      print the classical trig tables
   trig <degrees>                             exact sin/cos/tan of a grid angle
                                              3*m/2^k with k <= 5
@@ -12,12 +13,12 @@ Subcommands:
   verify                                     run the exact invariant suite
 
 Exit status: 0 on success, 1 on domain errors (construct of any other n,
-off-grid angle, dyadic depth beyond 5, --digits outside 1..MAX_DIGITS, or a
-lower ceiling under a lower PYTHONINTMAXSTRDIGITS, an n whose factors are
-out of reach: a cofactor above 160 bits or beyond the proven primality
-range, or one that rho does not split within its budget, such as two primes
-near 10^12 or larger) and on a stdout closed early, as by `| head -1`, 2 on
-usage errors.
+off-grid angle, dyadic depth beyond 5, icosahedron --digits outside
+1..MAX_DIGITS, or a lower ceiling under a lower PYTHONINTMAXSTRDIGITS, an n
+whose factors are out of reach: a cofactor above 160 bits or beyond the
+proven primality range, or one that rho does not split within its budget,
+such as two primes near 10^12 or larger) and on a stdout closed early, as
+by `| head -1`, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -40,24 +41,17 @@ from . import _MAX_TRIG_DEPTH
 
 __all__ = ["main"]
 
-# Largest --digits for `construct` and `icosahedron` under Python's default
-# limit of 4300 digits on converting an int to or from a string: an SVG
-# coordinate goes through an int of digits + 5 decimal digits (one integer
-# digit and 4 guard digits).  At this ceiling `icosahedron` takes 0.3 s and
-# `construct 20 --svg` 1.3 s, so a higher or no limit (0) keeps it.
+# Largest `icosahedron --digits`, a cap on its time (0.3 s at this ceiling).
+# Python's limit on converting an int to or from a string, 4300 digits by
+# default, lowers it to the limit - 1: an OBJ coordinate is below 10, so its
+# decimal goes through an int of digits + 1 decimal digits.
 MAX_DIGITS = 4295
 
 
 def _max_digits() -> int:
     """The --digits ceiling under this process's int-to-str limit."""
     limit = sys.get_int_max_str_digits()
-    return min(MAX_DIGITS, limit - 5) if limit else MAX_DIGITS
-
-
-def _check_digits(digits: int) -> None:
-    ceiling = _max_digits()
-    if not 1 <= digits <= ceiling:
-        raise ValueError(f"--digits must be in 1..{ceiling}, got {digits}")
+    return min(MAX_DIGITS, limit - 1) if limit else MAX_DIGITS
 
 
 def _cmd_construct(args) -> int:
@@ -66,16 +60,14 @@ def _cmd_construct(args) -> int:
     from .geom import dist_sq
     from .svg import RenderConfig, render_svg
 
-    _check_digits(args.digits)
     polygon, trace = construct_polygon(args.n)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(trace_to_json(trace))
             fh.write("\n")
     if args.svg:
-        cfg = RenderConfig(digits=args.digits, labels=not args.no_labels)
         with open(args.svg, "w") as fh:
-            fh.write(render_svg(trace, cfg, polygon=polygon))
+            fh.write(render_svg(trace, RenderConfig(not args.no_labels), polygon=polygon))
     side = dist_sq(polygon.vertices[0], polygon.vertices[1])
     length = sqrt(side)
     print(f"regular {polygon.n}-gon on the unit circle ({len(trace.steps)} steps)")
@@ -146,7 +138,9 @@ def _cmd_constructible(args) -> int:
 def _cmd_icosahedron(args) -> int:
     from .icosahedron import build_icosahedron, export_mesh, verify_icosahedron
 
-    _check_digits(args.digits)
+    ceiling = _max_digits()
+    if not 1 <= args.digits <= ceiling:
+        raise ValueError(f"--digits must be in 1..{ceiling}, got {args.digits}")
     mesh = build_icosahedron()
     report = verify_icosahedron(mesh)
     text = export_mesh(mesh, args.digits)
@@ -180,17 +174,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact straightedge-and-compass constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    ceiling = _max_digits()
 
     p = sub.add_parser("construct", help="construct a regular polygon")
     p.add_argument("n", type=int)
     p.add_argument("--svg", metavar="PATH")
     p.add_argument("--json", metavar="PATH")
-    p.add_argument(
-        "--digits", type=int, default=5,
-        help="places (plus 4 guard places) of the decimal each SVG pixel coordinate "
-        f"is rounded from; pixels print to 2 decimals; 1..{ceiling}",
-    )
     p.add_argument("--no-labels", action="store_true")
     p.set_defaults(func=_cmd_construct)
 
@@ -209,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("icosahedron", help="build and export the icosahedron")
     p.add_argument("--obj", metavar="PATH")
-    p.add_argument("--digits", type=int, default=6, help=f"OBJ decimals, 1..{ceiling}")
+    p.add_argument("--digits", type=int, default=6, help=f"OBJ decimals, 1..{_max_digits()}")
     p.set_defaults(func=_cmd_icosahedron)
 
     p = sub.add_parser("verify", help="run the exact invariant suite")

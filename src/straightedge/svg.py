@@ -1,21 +1,17 @@
 """Deterministic SVG rendering of construction traces.
 
 Every diagram is a 640 x 640 pixel frame with the unit circle centered in
-it, 40 pixels from each edge.  Each coordinate is read out by the exact
-decimal printer to ``RenderConfig.digits + 4`` places, scaled to pixels in
-integers (units of 10**-(digits + 4) pixels) and printed to 2 decimals,
-rounded half up, so two renders of the same trace are byte-identical.
-``digits`` only sets the guard precision of that read-out: the six
-SUPPORTED_POLYGONS programs, undoubled, render the same bytes at every
-digits >= 3.  The y-axis is flipped so the diagrams read in the usual
-mathematical orientation.
+it, 40 pixels from each edge.  Each number is the exact pixel value printed
+by ``approx`` to 2 decimals, correctly rounded with ties away from zero, so
+two renders of the same trace are byte-identical.  The y-axis is flipped so
+the diagrams read in the usual mathematical orientation.
 """
 
 from __future__ import annotations
 
 from . import _Record
 from .construct import Polygon, Trace
-from .exactnum import _decimal, _digits, approx, sqrt
+from .exactnum import approx, sqrt
 from .geom import Circle, Line, Point
 
 __all__ = ["RenderConfig", "render_svg"]
@@ -25,16 +21,10 @@ _MARGIN = 40  # from the unit circle to each edge
 
 
 class RenderConfig(_Record):
-    __slots__ = _fields = ("digits", "labels")
+    __slots__ = _fields = ("labels",)
 
-    def __init__(self, digits: int = 5, labels: bool = True):
-        self._init(_digits(digits), labels)
-
-
-def _fmt(value: int, places: int) -> str:
-    """value / 10**places pixels (places >= 2) to 2 decimals, ties rounded up."""
-    unit = 10 ** (places - 2)
-    return _decimal((value + unit // 2) // unit, 2)
+    def __init__(self, labels: bool = True):
+        self._init(labels)
 
 
 def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon | None = None) -> str:
@@ -46,20 +36,14 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
     circles.
     """
     cfg = cfg or RenderConfig()
-    places = cfg.digits + 4
-    pixel = 10**places  # every coordinate below is an int in units of 1/pixel
     scale = (_SIZE - 2 * _MARGIN) // 2
-    center = _SIZE // 2 * pixel
+    center = _SIZE // 2
 
-    def length(value) -> int:
-        # approx's text without its point is the value in units of 1/pixel.
-        return scale * int(approx(value, places).replace(".", ""))
+    def at(p: Point) -> tuple:
+        return center + scale * p.x, center - scale * p.y
 
-    def at(p: Point) -> tuple[int, int]:
-        return center + length(p.x), center - length(p.y)
-
-    def fmt(value: int) -> str:
-        return _fmt(value, places)
+    def fmt(value) -> str:
+        return approx(value, 2)
 
     body: list[str] = []
     origin = Point.of(0, 0)
@@ -74,16 +58,15 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
             cx, cy = at(obj.center)
             body.append(
                 f'<circle class="{kind}" cx="{fmt(cx)}" cy="{fmt(cy)}" '
-                f'r="{fmt(length(sqrt(obj.radius_sq)))}" />'
+                f'r="{fmt(scale * sqrt(obj.radius_sq))}" />'
             )
         elif isinstance(obj, Line):
             # Stretch the defining segment far beyond the viewport; SVG clips it.
             (x1, y1), (x2, y2) = at(obj.p), at(obj.q)
-            dx, dy = x2 - x1, y2 - y1
             body.append(
-                f'<line class="construction" x1="{fmt(x1 - 20 * dx)}" '
-                f'y1="{fmt(y1 - 20 * dy)}" x2="{fmt(x2 + 20 * dx)}" '
-                f'y2="{fmt(y2 + 20 * dy)}" />'
+                f'<line class="construction" x1="{fmt(21 * x1 - 20 * x2)}" '
+                f'y1="{fmt(21 * y1 - 20 * y2)}" x2="{fmt(21 * x2 - 20 * x1)}" '
+                f'y2="{fmt(21 * y2 - 20 * y1)}" />'
             )
         elif isinstance(obj, Point):
             px, py = at(obj)
@@ -92,7 +75,7 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
             )
             if cfg.labels:
                 body.append(
-                    f'<text class="label" x="{fmt(px + 5 * pixel)}" y="{fmt(py - 5 * pixel)}">'
+                    f'<text class="label" x="{fmt(px + 5)}" y="{fmt(py - 5)}">'
                     f"{step.output}</text>"
                 )
         # intersection pairs are drawn via their select steps

@@ -3,20 +3,17 @@ import os
 import re
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from mpmath import mp
 
-from conftest import run_fresh
+from conftest import mpf_of, run_fresh
 from straightedge.cli import MAX_DIGITS, main
 from straightedge.construct import construct_polygon
-from straightedge.svg import RenderConfig, _fmt, render_svg
+from straightedge.svg import RenderConfig, render_svg
 from straightedge.construct import Trace
-from straightedge.exactnum import _decimal
+from straightedge.geom import Circle, Line, Point
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,17 +38,15 @@ options:
   -h, --help            show this help message and exit
 """,
     "construct": """\
-usage: straightedge construct [-h] [--svg PATH] [--json PATH] [--digits DIGITS] [--no-labels] n
+usage: straightedge construct [-h] [--svg PATH] [--json PATH] [--no-labels] n
 
 positional arguments:
   n
 
 options:
-  -h, --help       show this help message and exit
+  -h, --help   show this help message and exit
   --svg PATH
   --json PATH
-  --digits DIGITS  places (plus 4 guard places) of the decimal each SVG pixel coordinate is
-                   rounded from; pixels print to 2 decimals; 1..4295
   --no-labels
 """,
     "table": """\
@@ -120,32 +115,62 @@ class TestRenderSvg:
         _, trace = construct_polygon(4)
         assert "<text" not in render_svg(trace, RenderConfig(labels=False))
 
+    def test_no_digits_setting(self):
+        # Pixels print to 2 decimals whatever the trace; there is no
+        # precision to set.
+        with pytest.raises(TypeError):
+            RenderConfig(digits=5)
 
-def _fraction_fmt(value: Fraction) -> str:
-    """Pixels to 2 decimals, ties up, as the SVG printed them from Fractions."""
-    scaled = value * 100
-    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    return _decimal(n, 2)
+
+def _oracle_pixels(trace, polygon, labels: bool) -> list:
+    """In mpmath, each number render_svg prints, in order, from the exact
+    values of the trace: 320 + 280x and 320 - 280y for points (the unit
+    circle 40 pixels inside a 640 pixel frame), 21p - 20q for line ends,
+    280*sqrt(r^2) for radii, a 5 pixel shift for labels."""
+
+    def at(p):
+        return 320 + 280 * mpf_of(p.x), 320 - 280 * mpf_of(p.y)
+
+    want = []
+    for step in trace.steps:
+        obj = trace.bindings[step.output]
+        if isinstance(obj, Circle):
+            want += [*at(obj.center), 280 * mp.sqrt(mpf_of(obj.radius_sq))]
+        elif isinstance(obj, Line):
+            (x1, y1), (x2, y2) = at(obj.p), at(obj.q)
+            want += [21 * x1 - 20 * x2, 21 * y1 - 20 * y2, 21 * x2 - 20 * x1, 21 * y2 - 20 * y1]
+        elif isinstance(obj, Point):
+            px, py = at(obj)
+            want += [px, py, px + 5, py - 5] if labels else [px, py]
+    for v in polygon.vertices:
+        want += at(v)
+    return want
 
 
-class TestPixelRounding:
-    """`_fmt` on ints in units of 10**-places pixels against the Fraction formula."""
+class TestSvgAgainstOracle:
+    """Every number of the SVG is its exact pixel value rounded to 2 places."""
 
-    @settings(max_examples=400, deadline=None)
-    @given(st.integers(-(10**12), 10**12), st.integers(2, 12))
-    def test_random_values(self, value, places):
-        assert _fmt(value, places) == _fraction_fmt(Fraction(value, 10**places))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(-(10**6), 10**6), st.integers(3, 12), st.integers(-1, 1))
-    def test_ties_at_half_a_hundredth(self, hundredths, places, nudge):
-        # hundredths + 1/2 hundredths of a pixel, exactly or one unit either side.
-        value = (2 * hundredths + 1) * 10 ** (places - 2) // 2 + nudge
-        assert _fmt(value, places) == _fraction_fmt(Fraction(value, 10**places))
-
-    def test_signs_near_zero(self):
-        for value in (-5000, -5001, -4999, -15000, 5000, 4999, 0):
-            assert _fmt(value, 6) == _fraction_fmt(Fraction(value, 10**6))
+    @pytest.mark.parametrize("labels", [True, False], ids=["labels", "no-labels"])
+    @pytest.mark.parametrize("n", [5, 20, 40])
+    def test_pixels_are_rounded_exact_values(self, n, labels):
+        polygon, trace = construct_polygon(n)
+        svg = render_svg(trace, RenderConfig(labels), polygon=polygon)
+        got = []
+        for attrs in re.findall(r"<(?:circle|line|text|polygon) ([^>]*)>", svg):
+            fields = dict(re.findall(r'([\w-]+)="([^"]*)"', attrs))
+            if fields["class"] == "marker":
+                assert fields.pop("r") == "3"
+            names = ("cx", "cy", "r", "x1", "y1", "x2", "y2", "x", "y")
+            got += [fields[k] for k in names if k in fields]
+            if "points" in fields:
+                got += re.split("[ ,]", fields["points"])
+        with mp.workdps(30):
+            want = _oracle_pixels(trace, polygon, labels)
+            assert len(got) == len(want)
+            for text, value in zip(got, want):
+                assert re.fullmatch(r"-?\d+\.\d\d", text), text
+                error = abs(mp.mpf(text) - value)
+                assert error <= mp.mpf("0.005") + mp.mpf(10) ** -20, (text, value)
 
 
 class TestDispatch:
@@ -228,23 +253,21 @@ class TestDispatch:
             captured = capsys.readouterr()
             assert captured.out == "" and f"1..{MAX_DIGITS}" in captured.err
 
-    def test_construct_digits_limit(self, tmp_path, capsys):
-        svg = tmp_path / "p4.svg"
-        assert main(["construct", "4", "--svg", str(svg), "--digits", str(MAX_DIGITS)]) == 0
-        assert svg.read_text().startswith("<svg")
-        svg.unlink()
-        for bad in (0, MAX_DIGITS + 1):
-            assert main(["construct", "4", "--svg", str(svg), "--digits", str(bad)]) == 1
-            captured = capsys.readouterr()
-            assert f"1..{MAX_DIGITS}" in captured.err
-            assert not svg.exists()
+    def test_construct_has_no_digits_option(self, tmp_path, capsys):
+        # --digits belongs to icosahedron only; construct refuses it as a
+        # usage error before writing anything.
+        svg = tmp_path / "p.svg"
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "4", "--svg", str(svg), "--digits", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --digits 5" in capsys.readouterr().err
+        assert not svg.exists()
 
-    @pytest.mark.parametrize(
-        "argv", [["icosahedron"], ["construct", "4", "--svg", "p4.svg"]],
-        ids=["icosahedron", "construct"],
-    )
+    @pytest.mark.parametrize("argv", [["icosahedron"]], ids=["icosahedron"])
     def test_digits_ceiling_follows_int_str_limit(self, argv, tmp_path):
-        # 640 is the lowest limit Python accepts; the ceiling is 640 - 5.
+        # 640 is the lowest limit Python accepts; an OBJ coordinate is below
+        # 10 and its decimal goes through an int of digits + 1 digits, so the
+        # ceiling is 640 - 1.
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
 
@@ -254,12 +277,12 @@ class TestDispatch:
                 env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
             )
 
-        done = run("--digits", "635")
+        done = run("--digits", "639")
         assert (done.returncode, done.stderr) == (0, "")
-        done = run("--digits", "636")
+        done = run("--digits", "640")
         assert done.returncode == 1
-        assert done.stderr == "error: --digits must be in 1..635, got 636\n"
-        assert "1..635" in run("--help").stdout
+        assert done.stderr == "error: --digits must be in 1..639, got 640\n"
+        assert "1..639" in run("--help").stdout
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0

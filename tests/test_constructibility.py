@@ -14,7 +14,6 @@ from straightedge.cli import main
 from straightedge.construct import Polygon, construct_polygon
 from straightedge.exactnum import approx, sqrt
 from straightedge.icosahedron import build_icosahedron, export_mesh
-from straightedge.svg import RenderConfig
 from straightedge.trig import side_length
 from straightedge.constructibility import (
     KNOWN_FERMAT_PRIMES,
@@ -191,11 +190,10 @@ class TestFactorize:
     construct_polygon, lambda n: Polygon(n, (), None), gauss_constructible, factorize,
     smallest_prime_factor, fermat_exponent, is_fermat_prime, side_length,
     lambda digits: approx(sqrt(2), digits), lambda digits: approx(1, digits),
-    lambda digits: RenderConfig(digits=digits),
     lambda digits: export_mesh(build_icosahedron(), digits),
 ], ids=["construct_polygon", "Polygon", "gauss_constructible", "factorize",
         "smallest_prime_factor", "fermat_exponent", "is_fermat_prime", "side_length",
-        "approx", "approx_rational", "RenderConfig", "export_mesh"])
+        "approx", "approx_rational", "export_mesh"])
 def test_counts_must_be_ints(entry, count):
     with pytest.raises(TypeError):
         entry(count)

@@ -109,10 +109,10 @@ VALUES = {
         lambda: Report(), "Report(checks=(Check(name='radii', passed=True, detail=''),))",
     ),
     "RenderConfig": (
-        lambda: RenderConfig(digits=9, labels=False),
-        lambda: RenderConfig(9, False),
+        lambda: RenderConfig(labels=False),
+        lambda: RenderConfig(False),
         lambda: RenderConfig(),
-        "RenderConfig(digits=9, labels=False)",
+        "RenderConfig(labels=False)",
     ),
 }
 FROZEN = sorted(set(VALUES) - {"Trace"})
@@ -197,9 +197,8 @@ def test_defaults():
     assert Verdict(5, True, 0, (5,)).refusal is None
     assert Check("a", True).detail == ""
     assert Report().checks == () and Report().ok
-    cfg = RenderConfig(digits=9, labels=False)
-    assert (cfg.digits, cfg.labels) == (9, False)
-    assert RenderConfig().digits == 5 and RenderConfig().labels is True
+    assert RenderConfig(labels=False).labels is False
+    assert RenderConfig().labels is True
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -215,7 +214,6 @@ def test_defaults():
      "a polygon needs at least 3 vertices"),
     (lambda: Polygon(4, (P(1, 0), P(0, 1), P(-1, 0)), P(0, 0)), ValueError,
      "expected 4 vertices, got 3"),
-    (lambda: RenderConfig(digits=0), ValueError, "digits must be >= 1"),
 ])
 def test_validation(build, error, message):
     with pytest.raises(error) as info:
