@@ -3,16 +3,19 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import mpf_of, run_fresh
 from straightedge.cli import MAX_DIGITS, main
 from straightedge.construct import construct_polygon
 from straightedge.svg import RenderConfig, render_svg
-from straightedge.construct import Trace
+from straightedge.construct import Step, Trace
 from straightedge.geom import Circle, Line, Point
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,6 +174,45 @@ class TestSvgAgainstOracle:
                 assert re.fullmatch(r"-?\d+\.\d\d", text), text
                 error = abs(mp.mpf(text) - value)
                 assert error <= mp.mpf("0.005") + mp.mpf(10) ** -20, (text, value)
+
+
+def _fraction_fmt(value: Fraction) -> str:
+    """Pixels to 2 decimals, ties away from zero, from the Fraction."""
+    scaled = abs(value) * 100
+    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+    sign = "-" if value < 0 and n else ""
+    return f"{sign}{n // 100}.{n % 100:02d}"
+
+
+def _marker_pixels(pixels: Fraction) -> tuple:
+    """cx and cy of a lone marker placed so that both are exactly `pixels`."""
+    point = Point.of((pixels - 320) / 280, (320 - pixels) / 280)
+    svg = render_svg(Trace([Step("place-point", (), "P")], {"P": point}), RenderConfig(False))
+    return re.search(r'<circle class="marker" cx="([^"]*)" cy="([^"]*)"', svg).groups()
+
+
+class TestPixelRounding:
+    """Marker pixels of render_svg, in units of 10**-places pixels, against
+    the Fraction formula."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-(10**12), 10**12), st.integers(2, 12))
+    def test_random_values(self, value, places):
+        pixels = Fraction(value, 10**places)
+        assert _marker_pixels(pixels) == (_fraction_fmt(pixels),) * 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(-(10**6), 10**6), st.integers(3, 12), st.integers(-1, 1))
+    def test_ties_at_half_a_hundredth(self, hundredths, places, nudge):
+        # hundredths + 1/2 hundredths of a pixel, exactly or one unit either side.
+        value = (2 * hundredths + 1) * 10 ** (places - 2) // 2 + nudge
+        pixels = Fraction(value, 10**places)
+        assert _marker_pixels(pixels) == (_fraction_fmt(pixels),) * 2
+
+    def test_signs_near_zero(self):
+        values = (-5000, -5001, -4999, -15000, 5000, 4999, 0)
+        got = [_marker_pixels(Fraction(v, 10**6))[0] for v in values]
+        assert got == ["-0.01", "-0.01", "0.00", "-0.02", "0.01", "0.00", "0.00"]
 
 
 class TestDispatch:
