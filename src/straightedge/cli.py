@@ -23,21 +23,29 @@ by `| head -1`, 2 on usage errors.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import _MAX_TRIG_DEPTH
 
 # Each command imports the modules it uses inside its function, and the
 # package root leaves `exactnum` and `trig` unexecuted until one is used, so
 # a cold process compiles and executes only the modules its command runs:
-# `constructible` runs none of the numeric core.  The core computes on ints
-# and loads `fractions` (and with it `decimal` and `numbers`) only where a
-# Fraction crosses the API, so of the commands only `trig`, which reads its
-# angle as one, and `verify` load it.  The value classes are plain
-# `__slots__` classes on `straightedge._Record`, so no command loads
-# `inspect`, `ast`, `dis` or `tokenize`, which none of them uses.
+# `constructible` runs `constructibility` alone, none of the numeric core;
+# `table` and `trig` run `exactnum` and `trig`; `construct` runs `exactnum`,
+# `geom`, `reporting`, `construct` and `svg`; `icosahedron` runs `exactnum`,
+# `reporting` and `icosahedron`; and `verify` runs all but `svg`.  The core
+# computes on ints and loads `fractions` (and with it `decimal` and
+# `numbers`) only where a Fraction crosses the API, so of the commands only
+# `verify` loads it, and `trig` when its angle is not written
+# [-]digits[/digits] (as `22.5`).  `argparse` (which loads `gettext` and
+# `locale`, about 4 ms of a cold start) is imported only when `_read_plain`
+# hands argv on: it takes a command in its plain form and gives the same
+# namespace, so argparse stays the one source of help and usage errors.  The
+# value classes are plain `__slots__` classes on `straightedge._Record`, so
+# no command loads `inspect`, `ast`, `dis` or `tokenize`, which none of them
+# uses.
 
 __all__ = ["main"]
 
@@ -107,20 +115,17 @@ def _cmd_table(_args) -> int:
 
 
 def _cmd_trig(args) -> int:
-    from fractions import Fraction
-
     from .exactnum import approx
-    from .trig import Angle, sin_cos, tan
+    from .trig import _read_text, _text, sin_cos, tan
 
     try:
-        degrees = Fraction(args.degrees)
+        degrees = _text(*_read_text(args.degrees))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot read {args.degrees!r} as a rational number of degrees")
-    angle = Angle(degrees)
     # tan refuses an angle beyond trig.MAX_TRIG_DEPTH at once, before anything is
     # printed or derived.
-    t = tan(angle) if degrees != 90 else None
-    s, c = sin_cos(angle)
+    t = tan(degrees) if degrees != "90" else None
+    s, c = sin_cos(degrees)
     print(f"sin {degrees}° = {s} = {approx(s, 6)}")
     print(f"cos {degrees}° = {c} = {approx(c, 6)}")
     if t is not None:
@@ -168,47 +173,96 @@ def _cmd_verify(_args) -> int:
     return 0 if report.ok else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every command, for both readers of argv: name -> (handler, help,
+# positionals as (dest, type), options as (flag, type, default, metavar,
+# help)).  An option of type None is a flag that takes no value; an option's
+# dest is its flag without the dashes, as argparse derives it.
+_COMMANDS = {
+    "construct": (_cmd_construct, "construct a regular polygon", [("n", int)], [
+        ("--svg", str, None, "PATH", None),
+        ("--json", str, None, "PATH", None),
+        ("--no-labels", None, False, None, None),
+    ]),
+    "table": (_cmd_table, "print the classical trig tables", [], []),
+    "trig": (
+        _cmd_trig, f"exact trig of a 3*m/2^k degree angle, k <= {_MAX_TRIG_DEPTH}",
+        [("degrees", str)], [],
+    ),
+    "constructible": (_cmd_constructible, "Gauss-Wantzel verdict for n", [("n", int)], []),
+    "icosahedron": (_cmd_icosahedron, "build and export the icosahedron", [], [
+        ("--obj", str, None, "PATH", None),
+        ("--digits", int, 6, None, "OBJ decimals, 1..{}"),  # {}: the ceiling in force
+    ]),
+    "verify": (_cmd_verify, "run the exact invariant suite", [], []),
+}
+
+
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="straightedge",
         description="Exact straightedge-and-compass constructions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="construct a regular polygon")
-    p.add_argument("n", type=int)
-    p.add_argument("--svg", metavar="PATH")
-    p.add_argument("--json", metavar="PATH")
-    p.add_argument("--no-labels", action="store_true")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("table", help="print the classical trig tables")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser(
-        "trig", help=f"exact trig of a 3*m/2^k degree angle, k <= {_MAX_TRIG_DEPTH}"
-    )
-    p.add_argument("degrees")
-    p.set_defaults(func=_cmd_trig)
-
-    p = sub.add_parser("constructible", help="Gauss-Wantzel verdict for n")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_constructible)
-
-    p = sub.add_parser("icosahedron", help="build and export the icosahedron")
-    p.add_argument("--obj", metavar="PATH")
-    p.add_argument("--digits", type=int, default=6, help=f"OBJ decimals, 1..{_max_digits()}")
-    p.set_defaults(func=_cmd_icosahedron)
-
-    p = sub.add_parser("verify", help="run the exact invariant suite")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, text, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for dest, kind in positionals:
+            p.add_argument(dest, type=kind)
+        for flag, kind, default, metavar, doc in options:
+            if kind is None:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(
+                    flag, type=kind, default=default, metavar=metavar,
+                    help=doc and doc.format(_max_digits()),
+                )
+        p.set_defaults(func=func)
     return parser
 
 
+def _read_plain(argv: list):
+    """The namespace `_build_parser().parse_args(argv)` gives, for argv of
+    the plain form: a command, then exactly its positionals and any of its
+    options spelt in full, each with its value, in any order.  None for any
+    other argv (help, an abbreviation, `--opt=value`, `--`, any other token
+    that starts with `-`) and for a value its type refuses."""
+    if not (argv and all(isinstance(token, str) for token in argv) and argv[0] in _COMMANDS):
+        return None
+    func, _, positionals, options = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": func}
+    flags = {}
+    for flag, kind, default, _, _ in options:
+        dest = flag[2:].replace("-", "_")
+        flags[flag], values[dest] = (dest, kind), default
+    given, tokens = [], iter(argv[1:])
+    try:
+        for token in tokens:
+            if not token.startswith("-"):
+                given.append(token)
+                continue
+            if token not in flags:
+                return None
+            dest, kind = flags[token]
+            if kind is None:
+                values[dest] = True
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            values[dest] = kind(value)
+        if len(given) != len(positionals):
+            return None
+        for (dest, kind), token in zip(positionals, given):
+            values[dest] = kind(token)
+    except ValueError:
+        return None
+    return SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_plain(argv) or _build_parser().parse_args(argv)
     try:
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe must raise inside this try

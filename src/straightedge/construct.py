@@ -97,7 +97,7 @@ class Polygon(_Record):
 # -- selector semantics --------------------------------------------------------
 
 _SELECTORS = ("lex-min", "lex-max", "positive-y", "negative-y")
-_TWO_LABELS = re.compile(r"(?:on-segment|toward)\(([^,()]+),([^,()]+)\)")
+_TWO_LABELS = r"(?:on-segment|toward)\(([^,()]+),([^,()]+)\)"  # compiled on first use
 
 
 def _between(value, lo, hi) -> bool:
@@ -170,7 +170,7 @@ def _evaluate(step: Step, bindings: dict):
     if len(labels) != len(classes):
         raise ValueError(f"{where}: takes {len(classes)} inputs, got {len(labels)}")
     if step.kind == "select" and step.selector not in _SELECTORS:
-        m = _TWO_LABELS.fullmatch(str(step.selector))
+        m = re.fullmatch(_TWO_LABELS, str(step.selector))
         if not m:
             raise ValueError(f"{where}: unknown selector {step.selector!r}")
         labels += m.groups()

@@ -20,7 +20,6 @@ and approx of one value, share it.  No floating point is used anywhere.
 
 from __future__ import annotations
 
-import re
 import sys
 from functools import cache
 from math import gcd, isqrt, lcm
@@ -627,7 +626,9 @@ def _decimal(n: int, places: int) -> str:
 
 # -- canonical text parsing ----------------------------------------------------
 
-_NUMBER = re.compile(r"(-?)(\d+)(?:/(\d+))?")
+# A leaf p/q.  `parse` imports `re`, which compiles this pattern on its first
+# use, so that no other command pays for either.
+_NUMBER = r"(-?)(\d+)(?:/(\d+))?"
 
 # Deepest nesting `parse` accepts.  Parsing a value, then printing it and
 # taking its sign and decimals, took D + 10 stack frames for D parentheses
@@ -643,6 +644,8 @@ def parse(text: str) -> Constructible:
     ``(a + b*sqrt(r))`` (or ``(a - b*sqrt(r))``), recursively.  Text nested
     more than 500 parentheses deep, or 16 square roots deep, is refused with
     ValueError before any recursion."""
+    import re
+
     roots, depth, chain = [0], 0, 0  # roots open at each unclosed parenthesis
     for token in re.findall(r"sqrt\(|[()]", text):
         if token != ")":
@@ -682,7 +685,9 @@ def _parse_value(s: str) -> tuple[Constructible, str]:
         s = _expect(s, ")")
         term = _mul(b, sqrt(r))
         return (_sub(a, term) if negative else _add(a, term)), s
-    m = _NUMBER.match(s)
+    import re
+
+    m = re.match(_NUMBER, s)
     if not m:
         raise ValueError(f"expected a rational at {s[:20]!r}")
     # The leaf p/q from ints, as Fraction(p/q) reads it: each part within the

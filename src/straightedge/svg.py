@@ -39,11 +39,23 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
     scale = (_SIZE - 2 * _MARGIN) // 2
     center = _SIZE // 2
 
-    def at(p: Point) -> tuple:
-        return center + scale * p.x, center - scale * p.y
-
     def fmt(value) -> str:
         return approx(value, 2)
+
+    # Each point's exact pixels, and their text, computed at most once per
+    # render.  Keyed by identity: the trace and the polygon hold every point.
+    pixels: dict[int, tuple] = {}
+    texts: dict[int, tuple] = {}
+
+    def at(p: Point) -> tuple:
+        if id(p) not in pixels:
+            pixels[id(p)] = center + scale * p.x, center - scale * p.y
+        return pixels[id(p)]
+
+    def text(p: Point) -> tuple:
+        if id(p) not in texts:
+            texts[id(p)] = tuple(map(fmt, at(p)))
+        return texts[id(p)]
 
     body: list[str] = []
     origin = Point.of(0, 0)
@@ -55,9 +67,9 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
                 if obj.center == origin and obj.radius_sq == 1
                 else "construction"
             )
-            cx, cy = at(obj.center)
+            cx, cy = text(obj.center)
             body.append(
-                f'<circle class="{kind}" cx="{fmt(cx)}" cy="{fmt(cy)}" '
+                f'<circle class="{kind}" cx="{cx}" cy="{cy}" '
                 f'r="{fmt(scale * sqrt(obj.radius_sq))}" />'
             )
         elif isinstance(obj, Line):
@@ -69,11 +81,10 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
                 f'y2="{fmt(21 * y2 - 20 * y1)}" />'
             )
         elif isinstance(obj, Point):
-            px, py = at(obj)
-            body.append(
-                f'<circle class="marker" cx="{fmt(px)}" cy="{fmt(py)}" r="3" />'
-            )
+            x, y = text(obj)
+            body.append(f'<circle class="marker" cx="{x}" cy="{y}" r="3" />')
             if cfg.labels:
+                px, py = at(obj)
                 body.append(
                     f'<text class="label" x="{fmt(px + 5)}" y="{fmt(py - 5)}">'
                     f"{step.output}</text>"
@@ -81,9 +92,7 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
         # intersection pairs are drawn via their select steps
 
     if polygon is not None:
-        points = " ".join(
-            f"{fmt(x)},{fmt(y)}" for x, y in map(at, polygon.vertices)
-        )
+        points = " ".join(f"{x},{y}" for x, y in map(text, polygon.vertices))
         body.append(f'<polygon class="result" points="{points}" />')
 
     style = (

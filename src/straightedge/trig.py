@@ -15,9 +15,11 @@ Dyadic subdivisions come from the half-angle formulas on the positive branch
 tower of cos(2*deg), which cannot succeed: for m odd and k >= 1 the field of
 sin and cos of 3m/2^k holds cos(360/2^(k+3) degrees), and that tower lies in
 a Q(zeta_n) with 2^(k+3) not dividing n.  Each angle is derived once, memoized
-by the ints (n, d) of n/d degrees.  An int angle, or an `Angle`, is read as
-that pair directly; only a str or Fraction angle, and `Angle` itself, use a
-Fraction, so `sin_cos(45)` and `side_length(5)` import no ``fractions``.
+by the ints (n, d) of n/d degrees.  An int angle, an `Angle`, and text
+written [-]digits[/digits] are read as that pair directly; only a Fraction
+angle, other text (such as "22.5" or " 15 ") and `Angle` itself use a
+Fraction, so `sin_cos(45)`, `sin_cos("165/2")` and `side_length(5)` import
+no ``fractions``.
 """
 
 from __future__ import annotations
@@ -55,6 +57,21 @@ def _check_angle(n: int, d: int) -> None:
         raise ValueError(f"{_text(n, d)} degrees is outside (0, 90]")
     if not _on_grid(n, d):
         raise ValueError(f"{_text(n, d)} degrees is off the constructible grid 3*m/2^k")
+
+
+def _read_text(text: str) -> tuple[int, int]:
+    """(n, d), in lowest terms with d > 0, of text that Fraction reads: text
+    of the form [-]digits[/digits] straight into ints, any other text through
+    Fraction, with its ValueError or ZeroDivisionError (as for "3/0")."""
+    num, slash, den = text.partition("/")
+    negative = num[:1] == "-"
+    num, den = num[negative:], den if slash else "1"
+    if text.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
+        n, d = int(num), int(den)
+        g = gcd(n, d)
+        return (-n if negative else n) // g, d // g
+    degrees = _fraction_class()(text)
+    return degrees.numerator, degrees.denominator
 
 
 def _read_degrees(value):
@@ -150,15 +167,23 @@ def _sin_cos_raw(n: int, d: int) -> tuple[Constructible, Constructible]:
 
 def _degrees(angle, cap: int, fn: str) -> tuple[int, int]:
     """(n, d) of a grid angle of n/d degrees; 3*m/2^k with k > cap is refused.
-    An int is read as (n, 1) without building a Fraction or an Angle."""
+    An int, and text read by `_read_text`, give the pair without building an
+    Angle."""
     if isinstance(angle, int):
         _check_angle(angle.numerator, 1)
         return angle.numerator, 1
-    deg = Angle.of(angle).degrees
-    depth = deg.denominator.bit_length() - 1
+    if isinstance(angle, str):
+        n, d = _read_text(angle)
+        _check_angle(n, d)
+    else:
+        deg = Angle.of(angle).degrees
+        n, d = deg.numerator, deg.denominator
+    depth = d.bit_length() - 1
     if depth > cap:
-        raise ValueError(f"{deg} degrees is 3*m/2^{depth}; {fn} supports dyadic depth k <= {cap}")
-    return deg.numerator, deg.denominator
+        raise ValueError(
+            f"{_text(n, d)} degrees is 3*m/2^{depth}; {fn} supports dyadic depth k <= {cap}"
+        )
+    return n, d
 
 
 def sin_cos(angle) -> tuple[Constructible, Constructible]:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from conftest import mpf_of, run_fresh
-from straightedge.cli import MAX_DIGITS, main
+from straightedge.cli import MAX_DIGITS, _build_parser, _read_plain, main
 from straightedge.construct import construct_polygon
 from straightedge.svg import RenderConfig, render_svg
 from straightedge.construct import Step, Trace
@@ -258,9 +259,10 @@ class TestDispatch:
     def test_trig_off_grid(self, capsys):
         assert main(["trig", "1"]) == 1
         assert "3*m/2^k" in capsys.readouterr().err
-        assert main(["trig", "abc"]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: cannot read 'abc' as a rational number of degrees\n"
+        for text in ("abc", "3/0"):
+            assert main(["trig", text]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: cannot read {text!r} as a rational number of degrees\n"
 
     def test_constructible(self, capsys):
         assert main(["constructible", "7"]) == 0
@@ -381,6 +383,82 @@ class TestDispatch:
             os.close(write_end)
         # No `Traceback`, no `Exception ignored` from the flush at exit.
         assert (done.returncode, done.stderr) == (1, "")
+
+
+# Tokens for the differential test of the plain reader: every command and
+# option spelling; an abbreviation, `--opt=value`, `--` and help, which it
+# leaves to argparse; and values that int reads in ways of its own or refuses.
+COMMAND_NAMES = ["construct", "table", "trig", "constructible", "icosahedron", "verify"]
+TOKENS = [
+    *COMMAND_NAMES, "--svg", "--json", "--no-labels", "--obj", "--digits",
+    "--sv", "--no", "--svg=p", "--", "-h",
+    "5", "-5", "+5", " 5", "1_0", "\u0665", "", "22.5", "165/2", "p",
+]
+
+
+def _benchmark_jobs():
+    """The benchmark's job-list module, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPlainReader:
+    """Whatever argv the plain reader takes, it reads as argparse does."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(
+        st.sampled_from([*COMMAND_NAMES, "nope", "-h"]),
+        st.lists(st.sampled_from(TOKENS), max_size=6),
+    )
+    def test_agrees_with_argparse(self, command, rest):
+        argv = [command, *rest]
+        args = _read_plain(argv)
+        if args is not None:
+            assert vars(args) == vars(_build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "5", "--no-labels", "--svg", "a", "--svg", "b", "--json", ""],
+        ["construct", "--json", "j", " 5"],
+        ["constructible", "1_0"],
+        ["constructible", "+5"],
+        ["icosahedron", "--digits", "\u0665", "--obj", "p"],
+        ["trig", "22.5"],
+        ["trig", ""],
+        ["table"],
+        ["verify"],
+    ])
+    def test_takes_the_plain_form(self, argv):
+        args = _read_plain(argv)
+        assert args is not None
+        assert vars(args) == vars(_build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["nope"], ["table", "x"], ["trig"], ["trig", "15", "16"],
+        ["trig", "-15"], ["trig", "--", "15"], ["construct", "x"], ["construct", "-5"],
+        ["construct", "5", "--sv", "p"], ["construct", "5", "--svg=p"], ["construct", "5", "--svg"],
+        ["construct", "5", "--svg", "-p"], ["construct", "5", "--digits", "3"],
+        ["icosahedron", "--digits", "x"], ["verify", "-h"], ["constructible", 5],
+    ])
+    def test_hands_the_rest_to_argparse(self, argv):
+        assert _read_plain(argv) is None
+
+    def test_takes_every_benchmark_job(self):
+        # So that the cli-cold workload times the plain reader.
+        jobs = _benchmark_jobs()
+        specs = {spec for seed in range(20) for spec in jobs.job_list("cli-cold", seed)}
+        specs |= set(jobs.SMOKE["cli-cold"])
+        shapes = set()
+        for spec in sorted(specs):
+            argv, _ = jobs.cli_argv(spec, Path("P"))
+            args = _read_plain(argv)
+            assert args is not None, argv
+            assert vars(args) == vars(_build_parser().parse_args(argv))
+            shapes.add(tuple(token if token.startswith("-") else "" for token in argv[1:]))
+        assert {spec[1] for spec in specs} == set(COMMAND_NAMES)
+        assert ("", "--svg", "", "--json", "") in shapes and ("--obj", "") in shapes
 
 
 class TestDeterminism:

@@ -82,22 +82,35 @@ def test_cold_path_loads_neither_dataclasses_nor_inspect(path, tmp_path):
     assert heavy == []
 
 
+@pytest.mark.parametrize("path", sorted(COLD_PATHS))
+def test_cold_path_loads_no_argparse(path, tmp_path):
+    # argparse, and with it `gettext` and `locale`, is loaded only for argv
+    # that the plain reader hands on: help, usage errors and the like.
+    loaded = run_fresh(
+        COLD_PATHS[path].replace("{tmp}", str(tmp_path))
+        + "\nprint(json.dumps([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]))"
+    )
+    assert loaded == []
+
+
 # A module counts as executed once it is in sys.modules as a plain module: the
 # package root enters `exactnum` and `trig` there as lazy modules, whose type
 # changes when they execute.  `type` reads no attribute, so it executes none.
 EXECUTED = "[m for m in {names!r} if type(sys.modules.get(m)) is type(sys)]"
 
 # `fractions` imports `decimal` and `numbers`.  The package loads it only
-# where a Fraction is passed in or built, as `trig` and `verify` do.
+# where a Fraction is passed in or built, as `verify` does.
 FRACTIONS = ("fractions", "decimal", "numbers")
 
 # What a cold path runs without: `constructible` uses none of the numeric core;
 # `construct` and `icosahedron` use no trig; and the set-up probe, `table`,
-# `construct` and `icosahedron` compute on ints and pass in no Fraction.
+# `trig` (of an angle written n/d), `construct` and `icosahedron` compute on
+# ints and pass in no Fraction.
 UNUSED = {
     "import": FRACTIONS,
     "constructible": ("straightedge.exactnum", "straightedge.trig", *FRACTIONS),
     "table": FRACTIONS,
+    "trig": FRACTIONS,
     "construct": ("straightedge.trig", *FRACTIONS),
     "icosahedron": ("straightedge.trig", *FRACTIONS),
 }

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from conftest import mpf_of
+from conftest import mpf_of, run_fresh
 from straightedge import trig
 from straightedge.exactnum import Constructible, _adjoin, _scaled, _sqrt_within, approx, sign, sqrt
 from straightedge.trig import (
@@ -271,7 +271,7 @@ def _outcome(fn, *args):
     """What ``fn(*args)`` returns, or the type and text of its error."""
     try:
         return fn(*args)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         return type(exc), str(exc)
 
 
@@ -308,6 +308,55 @@ class TestIntAnglesAgainstFraction:
         side_length(5)
         side_length(8)
         assert calls == [36, Angle(Fraction(45, 2))] and type(calls[0]) is int
+
+
+class TestTextAnglesAgainstFraction:
+    """sin_cos and tan read text written [-]digits[/digits] as an int pair,
+    and other text through Fraction; each result or error must be that of
+    the Fraction the text reads as."""
+
+    TEXTS = [
+        *(f"{n}/{d}" for n in range(-3, 100, 2) for d in (1, 2, 4, 6, 32, 64, 65536)),
+        *map(str, range(-3, 100)), "-0", "0/5", "030", "45/0002", "6/4", "3/0", "0/0",
+        "22.5", " 15 ", "+15", "1_5", "\u0665", "abc", "", "-", "/", "3/", "/4", "1/2/3",
+        "--3", "9" * 5000, "1/" + "9" * 5000,
+    ]
+
+    @pytest.mark.parametrize("fn", [sin_cos, tan])
+    def test_text_degrees(self, fn):
+        for text in self.TEXTS:
+            want = _outcome(lambda t: fn(Fraction(t)), text)
+            assert _outcome(fn, text) == want, text
+
+    @pytest.mark.parametrize("text, error", [
+        ("1", "1 degrees is off the constructible grid 3*m/2^k"),
+        ("0", "0 degrees is outside (0, 90]"),
+        ("91", "91 degrees is outside (0, 90]"),
+        ("-3/2", "-3/2 degrees is outside (0, 90]"),
+    ])
+    def test_refused_text(self, text, error):
+        for fn in (sin_cos, tan):
+            with pytest.raises(ValueError) as exc:
+                fn(text)
+            assert str(exc.value) == error
+
+    def test_refused_depth_and_zero_denominator(self):
+        with pytest.raises(ValueError) as exc:
+            tan("3/65536")
+        assert str(exc.value) == "3/65536 degrees is 3*m/2^16; tan supports dyadic depth k <= 5"
+        for fn in (sin_cos, tan):
+            with pytest.raises(ZeroDivisionError):
+                fn("3/0")
+
+    def test_text_loads_no_fractions(self):
+        loaded, same = run_fresh(
+            "import straightedge\n"
+            "s, c = straightedge.sin_cos('165/2')\n"
+            "loaded = [m for m in ('fractions', 'decimal', 'numbers') if m in sys.modules]\n"
+            "from fractions import Fraction\n"
+            "print(json.dumps([loaded, (s, c) == straightedge.sin_cos(Fraction(165, 2))]))"
+        )
+        assert (loaded, same) == ([], True)
 
 
 class TestSideLength:
