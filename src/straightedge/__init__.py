@@ -11,9 +11,11 @@ that execute on the first read of one of their attributes.  Every other
 public name is imported from its submodule the first time it is read
 (PEP 562).  So a cold process compiles only the modules it uses:
 ``straightedge constructible`` runs without the numeric core.  The core
-computes on ints and imports ``fractions`` only where a Fraction is passed
-in or asked for, so ``import straightedge; sin_cos(45)`` loads none of
-``fractions``, ``decimal`` and ``numbers``.
+computes on ints and reads every angle as an int pair, so it imports
+``fractions`` (and with it ``decimal`` and ``numbers``) only where it is
+given a Fraction, an `Angle` or angle text that is not [-]digits[/digits],
+or asked for a Fraction: ``import straightedge; sin_cos(45)`` and every CLI
+command load none of the three, except ``trig`` of such text (``22.5``).
 """
 
 import sys

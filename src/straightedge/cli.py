@@ -14,11 +14,10 @@ Subcommands:
 
 Exit status: 0 on success, 1 on domain errors (construct of any other n,
 off-grid angle, dyadic depth beyond 5, icosahedron --digits outside
-1..MAX_DIGITS, or a lower ceiling under a lower PYTHONINTMAXSTRDIGITS, an n
-whose factors are out of reach: a cofactor above 160 bits or beyond the
-proven primality range, or one that rho does not split within its budget,
-such as two primes near 10^12 or larger) and on a stdout closed early, as
-by `| head -1`, 2 on usage errors.
+1..MAX_DIGITS, an n whose factors are out of reach: a cofactor above 160
+bits or beyond the proven primality range, or one that rho does not split
+within its budget, such as two primes near 10^12 or larger) and on a stdout
+closed early, as by `| head -1`, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -36,30 +35,23 @@ from . import _MAX_TRIG_DEPTH
 # `table` and `trig` run `exactnum` and `trig`; `construct` runs `exactnum`,
 # `geom`, `reporting`, `construct` and `svg`; `icosahedron` runs `exactnum`,
 # `reporting` and `icosahedron`; and `verify` runs all but `svg`.  The core
-# computes on ints and loads `fractions` (and with it `decimal` and
-# `numbers`) only where a Fraction crosses the API, so of the commands only
-# `verify` loads it, and `trig` when its angle is not written
-# [-]digits[/digits] (as `22.5`).  `argparse` (which loads `gettext` and
-# `locale`, about 4 ms of a cold start) is imported only when `_read_plain`
-# hands argv on: it takes a command in its plain form and gives the same
-# namespace, so argparse stays the one source of help and usage errors.  The
-# value classes are plain `__slots__` classes on `straightedge._Record`, so
-# no command loads `inspect`, `ast`, `dis` or `tokenize`, which none of them
-# uses.
+# computes on ints and reads every angle as an int pair, so it loads
+# `fractions` (and with it `decimal` and `numbers`) only where a Fraction
+# crosses the API: of the commands only `trig` loads it, when its angle is
+# not written [-]digits[/digits] (as `22.5`).  `argparse` (which loads
+# `gettext` and `locale`, about 4 ms of a cold start) is imported only when
+# `_read_plain` hands argv on: it takes a command in its plain form and gives
+# the same namespace, so argparse stays the one source of help and usage
+# errors.  The value classes are plain `__slots__` classes on
+# `straightedge._Record`, so no command loads `inspect`, `ast`, `dis` or
+# `tokenize`, which none of them uses.
 
 __all__ = ["main"]
 
 # Largest `icosahedron --digits`, a cap on its time (0.3 s at this ceiling).
-# Python's limit on converting an int to or from a string, 4300 digits by
-# default, lowers it to the limit - 1: an OBJ coordinate is below 10, so its
-# decimal goes through an int of digits + 1 decimal digits.
+# `approx` converts its digits to text in pieces below Python's limit on
+# converting an int to a string, so the ceiling is the same under any limit.
 MAX_DIGITS = 4295
-
-
-def _max_digits() -> int:
-    """The --digits ceiling under this process's int-to-str limit."""
-    limit = sys.get_int_max_str_digits()
-    return min(MAX_DIGITS, limit - 1) if limit else MAX_DIGITS
 
 
 def _cmd_construct(args) -> int:
@@ -143,9 +135,8 @@ def _cmd_constructible(args) -> int:
 def _cmd_icosahedron(args) -> int:
     from .icosahedron import build_icosahedron, export_mesh, verify_icosahedron
 
-    ceiling = _max_digits()
-    if not 1 <= args.digits <= ceiling:
-        raise ValueError(f"--digits must be in 1..{ceiling}, got {args.digits}")
+    if not 1 <= args.digits <= MAX_DIGITS:
+        raise ValueError(f"--digits must be in 1..{MAX_DIGITS}, got {args.digits}")
     mesh = build_icosahedron()
     report = verify_icosahedron(mesh)
     text = export_mesh(mesh, args.digits)
@@ -191,7 +182,7 @@ _COMMANDS = {
     "constructible": (_cmd_constructible, "Gauss-Wantzel verdict for n", [("n", int)], []),
     "icosahedron": (_cmd_icosahedron, "build and export the icosahedron", [], [
         ("--obj", str, None, "PATH", None),
-        ("--digits", int, 6, None, "OBJ decimals, 1..{}"),  # {}: the ceiling in force
+        ("--digits", int, 6, None, f"OBJ decimals, 1..{MAX_DIGITS}"),
     ]),
     "verify": (_cmd_verify, "run the exact invariant suite", [], []),
 }
@@ -215,7 +206,7 @@ def _build_parser():
             else:
                 p.add_argument(
                     flag, type=kind, default=default, metavar=metavar,
-                    help=doc and doc.format(_max_digits()),
+                    help=doc,
                 )
         p.set_defaults(func=func)
     return parser

@@ -8,8 +8,6 @@ constructibility certificates.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .construct import (
     SUPPORTED_POLYGONS,
     construct_polygon,
@@ -28,7 +26,7 @@ __all__ = ["run_all_checks"]
 
 def _table_closed_forms() -> dict[int, tuple[Constructible, Constructible]]:
     s2, s3, s5 = sqrt(2), sqrt(3), sqrt(5)
-    half = Constructible.of(Fraction(1, 2))
+    half = Constructible(1, 2)
     return {
         30: (half, s3 / 2),
         45: (s2 / 2, s2 / 2),
@@ -71,7 +69,7 @@ def run_all_checks() -> Report:
         polygons[n] = poly
         checks.append(Check(f"constructed {n}-gon is exactly regular", verify_regular(poly).ok))
         closed = all(
-            (v.x, v.y) == point_on_circle(Fraction(360 * k, n))
+            (v.x, v.y) == point_on_circle(f"{360 * k}/{n}")
             for k, v in enumerate(poly.vertices)
         )
         checks.append(Check(f"{n}-gon vertices match (cos, sin) closed forms", closed))

@@ -15,21 +15,22 @@ Dyadic subdivisions come from the half-angle formulas on the positive branch
 tower of cos(2*deg), which cannot succeed: for m odd and k >= 1 the field of
 sin and cos of 3m/2^k holds cos(360/2^(k+3) degrees), and that tower lies in
 a Q(zeta_n) with 2^(k+3) not dividing n.  Each angle is derived once, memoized
-by the ints (n, d) of n/d degrees.  An int angle, an `Angle`, and text
-written [-]digits[/digits] are read as that pair directly; only a Fraction
-angle, other text (such as "22.5" or " 15 ") and `Angle` itself use a
-Fraction, so `sin_cos(45)`, `sin_cos("165/2")` and `side_length(5)` import
-no ``fractions``.
+by the ints (n, d) of n/d degrees.  Every entry reads its angle as that pair
+through one reader, `_pair`: an int, a Fraction, an `Angle` and text written
+[-]digits[/digits] give it directly, and only other text (such as "22.5" or
+" 15 ") is read through a Fraction.  No internal path builds a Fraction or an
+`Angle`, so `sin_cos(45)`, `sin_cos("165/2")`, `side_length(5)` and
+`point_on_circle("144")` import no ``fractions``.
 """
 
 from __future__ import annotations
 
-import threading
+from _thread import RLock
 from math import gcd
 from operator import index
 
 from . import _MAX_TRIG_DEPTH, _Record
-from .exactnum import Constructible, ONE, ZERO, _adjoin, _fraction_class, sign
+from .exactnum import Constructible, ONE, ZERO, _adjoin, _fraction_class, _is_fraction, sign
 
 __all__ = [
     "Angle",
@@ -74,14 +75,16 @@ def _read_text(text: str) -> tuple[int, int]:
     return degrees.numerator, degrees.denominator
 
 
-def _read_degrees(value):
-    """The degrees of an int, str, Fraction or Angle, as a Fraction; a float,
-    being inexact, or any other type raises TypeError."""
+def _pair(value) -> tuple[int, int]:
+    """(n, d), in lowest terms with d > 0, of the degrees of an Angle, an int,
+    a Fraction or text `_read_text` reads; a float, being inexact, or any
+    other type raises TypeError."""
     if isinstance(value, Angle):
-        return value.degrees
-    Fraction = _fraction_class()
-    if isinstance(value, (int, str, Fraction)):
-        return Fraction(value)
+        value = value.degrees
+    elif isinstance(value, str):
+        return _read_text(value)
+    if isinstance(value, int) or _is_fraction(value):
+        return value.numerator, value.denominator
     raise TypeError(f"cannot read an angle from {type(value).__name__}")
 
 
@@ -92,14 +95,14 @@ class Angle(_Record):
     __slots__ = _fields = ("degrees",)
 
     def __init__(self, degrees):
-        if not isinstance(degrees, _fraction_class()):
+        if not _is_fraction(degrees):
             raise TypeError("degrees must be a Fraction")
         _check_angle(degrees.numerator, degrees.denominator)
         self._init(degrees)
 
     @classmethod
     def of(cls, value) -> "Angle":
-        return value if isinstance(value, Angle) else cls(_read_degrees(value))
+        return value if isinstance(value, Angle) else cls(_fraction_class()(*_pair(value)))
 
     def __str__(self) -> str:
         return f"{self.degrees}°"
@@ -112,7 +115,7 @@ class Angle(_Record):
 MAX_TRIG_DEPTH = _MAX_TRIG_DEPTH
 
 _memo: dict[tuple[int, int], tuple[Constructible, Constructible]] = {}
-_memo_lock = threading.RLock()
+_memo_lock = RLock()
 
 
 def _seed_values() -> dict[tuple[int, int], tuple[Constructible, Constructible]]:
@@ -166,18 +169,9 @@ def _sin_cos_raw(n: int, d: int) -> tuple[Constructible, Constructible]:
 
 
 def _degrees(angle, cap: int, fn: str) -> tuple[int, int]:
-    """(n, d) of a grid angle of n/d degrees; 3*m/2^k with k > cap is refused.
-    An int, and text read by `_read_text`, give the pair without building an
-    Angle."""
-    if isinstance(angle, int):
-        _check_angle(angle.numerator, 1)
-        return angle.numerator, 1
-    if isinstance(angle, str):
-        n, d = _read_text(angle)
-        _check_angle(n, d)
-    else:
-        deg = Angle.of(angle).degrees
-        n, d = deg.numerator, deg.denominator
+    """(n, d) of a grid angle of n/d degrees; 3*m/2^k with k > cap is refused."""
+    n, d = _pair(angle)
+    _check_angle(n, d)
     depth = d.bit_length() - 1
     if depth > cap:
         raise ValueError(
@@ -215,8 +209,8 @@ def side_length(n: int) -> Constructible:
         raise ValueError(
             f"180/{n} = {_text(p, q)} degrees is off the constructible grid 3*m/2^k"
         )
-    # Through sin_cos, which reads a whole number of degrees with no Fraction.
-    s, _ = sin_cos(p if q == 1 else Angle(_fraction_class()(p, q)))
+    # Through sin_cos, as an int or as text, which it reads with no Fraction.
+    s, _ = sin_cos(p if q == 1 else f"{p}/{q}")
     return 2 * s
 
 
@@ -232,8 +226,9 @@ def point_on_circle(degrees) -> tuple[Constructible, Constructible]:
     """Exact (cos, sin) of any grid multiple, for vertex checks: the point
     for the remainder below 90 degrees, turned a quarter turn once per whole
     quadrant."""
-    quadrants, rest = divmod(_read_degrees(degrees) % 360, 90)
-    s, c = sin_cos(Angle(rest)) if rest else (ZERO, ONE)
+    n, d = _pair(degrees)
+    quadrants, rest = divmod(n % (360 * d), 90 * d)  # rest/d is in lowest terms
+    s, c = sin_cos(rest if d == 1 else f"{rest}/{d}") if rest else (ZERO, ONE)
     for _ in range(quadrants):
         c, s = -s, c
     return c, s

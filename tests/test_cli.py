@@ -22,7 +22,7 @@ from straightedge.geom import Circle, Line, Point
 GOLDEN = Path(__file__).parent / "golden"
 
 # `straightedge --help` and each subcommand's, at 100 columns (at 80, Python
-# 3.13 wraps the top usage line otherwise) under the default int-to-str limit.
+# 3.13 wraps the top usage line otherwise).
 HELP = {
     "": """\
 usage: straightedge [-h] {construct,table,trig,constructible,icosahedron,verify} ...
@@ -307,26 +307,29 @@ class TestDispatch:
         assert "unrecognized arguments: --digits 5" in capsys.readouterr().err
         assert not svg.exists()
 
-    @pytest.mark.parametrize("argv", [["icosahedron"]], ids=["icosahedron"])
-    def test_digits_ceiling_follows_int_str_limit(self, argv, tmp_path):
-        # 640 is the lowest limit Python accepts; an OBJ coordinate is below
-        # 10 and its decimal goes through an int of digits + 1 digits, so the
-        # ceiling is 640 - 1.
+    def test_digits_ceiling_ignores_int_str_limit(self, tmp_path):
+        # 640 is the lowest limit Python accepts on converting an int to a
+        # string; approx converts in smaller pieces, so the ceiling stays
+        # MAX_DIGITS and the OBJ is the one written under the default limit.
         src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
 
-        def run(*extra):
+        def run(limit, *extra):
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS=limit)
             return subprocess.run(
-                [sys.executable, "-m", "straightedge.cli", *argv, *extra],
+                [sys.executable, "-m", "straightedge.cli", "icosahedron", *extra],
                 env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
             )
 
-        done = run("--digits", "639")
-        assert (done.returncode, done.stderr) == (0, "")
-        done = run("--digits", "640")
+        objs = []
+        for limit in ("640", "4300"):
+            done = run(limit, "--digits", str(MAX_DIGITS), "--obj", f"{limit}.obj")
+            assert (done.returncode, done.stderr) == (0, ""), limit
+            objs.append((tmp_path / f"{limit}.obj").read_text())
+        assert objs[0] == objs[1]
+        done = run("640", "--digits", str(MAX_DIGITS + 1))
         assert done.returncode == 1
-        assert done.stderr == "error: --digits must be in 1..639, got 640\n"
-        assert "1..639" in run("--help").stdout
+        assert done.stderr == f"error: --digits must be in 1..{MAX_DIGITS}, got {MAX_DIGITS + 1}\n"
+        assert f"1..{MAX_DIGITS}" in run("640", "--help").stdout
 
     def test_verify(self, capsys):
         assert main(["verify"]) == 0
@@ -339,7 +342,6 @@ class TestDispatch:
         texts, trig_executed = run_fresh(
             "import contextlib, io, os\n"
             "os.environ['COLUMNS'] = '100'\n"
-            "sys.set_int_max_str_digits(4300)\n"
             "from straightedge import cli\n"
             "texts = {}\n"
             f"for command in {sorted(HELP)!r}:\n"

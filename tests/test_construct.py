@@ -384,17 +384,9 @@ def output_lines() -> list[str]:
     return lines
 
 
-# The d = 1 lines of golden/outputs.txt pin SVGs rounded through a 1-digit
-# guard, which mis-rounded some pixels; no renderer produces them now.
-_UNCHECKED = re.compile(r"svg \d+ 1 (labels|no-labels) [0-9a-f]{64}")
-
-
 class TestOutputGolden:
     def test_trace_json_and_svg_match(self):
         want = OUTPUTS.read_text().splitlines()
-        unchecked = [w for w in want if _UNCHECKED.fullmatch(w)]
-        assert len(unchecked) == 2 * len(SUPPORTED_POLYGONS) == 12
-        want = [w for w in want if w not in unchecked]
         got = output_lines()
         assert len(got) == len(want)
         for i, (g, w) in enumerate(zip(got, want)):

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -217,6 +218,26 @@ class TestApprox:
         with mp.workdps(digits + 50):
             want = mp.nstr(mp.sqrt(2), digits + 1, strip_zeros=False)
         assert approx(sqrt(2), digits) == want
+
+
+    def test_beyond_int_str_limit_against_oracle(self):
+        # Python converts an int of at most 4300 digits to a string by
+        # default, and of at most 640 under the lowest limit it accepts;
+        # approx converts its digits in smaller pieces.
+        with mp.workdps(5050):
+            want = mp.nstr(mp.sqrt(2), 5001, strip_zeros=False)
+        limit = sys.get_int_max_str_digits()
+        try:
+            for lowered in (limit, 640):
+                sys.set_int_max_str_digits(lowered)
+                assert approx(sqrt(2), 5000) == want, lowered
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_pieces_keep_their_zeros(self):
+        big = 10**1300 + 7
+        assert approx(C(big), 1) == "1" + "0" * 1299 + "7.0"
+        assert approx(C(Fraction(-big, 10**700)), 700) == "-1" + "0" * 600 + "." + "0" * 699 + "7"
 
 
 class TestEnclose:

@@ -99,13 +99,13 @@ def test_cold_path_loads_no_argparse(path, tmp_path):
 EXECUTED = "[m for m in {names!r} if type(sys.modules.get(m)) is type(sys)]"
 
 # `fractions` imports `decimal` and `numbers`.  The package loads it only
-# where a Fraction is passed in or built, as `verify` does.
+# where a Fraction is passed in or asked for.
 FRACTIONS = ("fractions", "decimal", "numbers")
 
 # What a cold path runs without: `constructible` uses none of the numeric core;
-# `construct` and `icosahedron` use no trig; and the set-up probe, `table`,
-# `trig` (of an angle written n/d), `construct` and `icosahedron` compute on
-# ints and pass in no Fraction.
+# `construct` and `icosahedron` use no trig; and every path computes on ints
+# and reads its angles (`trig` of one written n/d, `verify`'s vertex checks)
+# as int pairs, so none passes in a Fraction.
 UNUSED = {
     "import": FRACTIONS,
     "constructible": ("straightedge.exactnum", "straightedge.trig", *FRACTIONS),
@@ -113,6 +113,7 @@ UNUSED = {
     "trig": FRACTIONS,
     "construct": ("straightedge.trig", *FRACTIONS),
     "icosahedron": ("straightedge.trig", *FRACTIONS),
+    "verify": FRACTIONS,
 }
 
 

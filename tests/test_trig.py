@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,9 @@ from mpmath import mp
 
 from conftest import mpf_of, run_fresh
 from straightedge import trig
-from straightedge.exactnum import Constructible, _adjoin, _scaled, _sqrt_within, approx, sign, sqrt
+from straightedge.exactnum import (
+    ONE, ZERO, Constructible, _adjoin, _scaled, _sqrt_within, approx, sign, sqrt,
+)
 from straightedge.trig import (
     Angle,
     max_building_height,
@@ -307,7 +310,7 @@ class TestIntAnglesAgainstFraction:
         monkeypatch.setattr(trig, "sin_cos", lambda angle: calls.append(angle) or real(angle))
         side_length(5)
         side_length(8)
-        assert calls == [36, Angle(Fraction(45, 2))] and type(calls[0]) is int
+        assert calls == [36, "45/2"] and type(calls[0]) is int
 
 
 class TestTextAnglesAgainstFraction:
@@ -447,6 +450,55 @@ class TestPointOnCircle:
             c, s = point_on_circle(Fraction(deg))
             assert abs(mpf_of(c) - mp.cos(mp.radians(int(deg)))) < mp.mpf(10) ** -30
             assert abs(mpf_of(s) - mp.sin(mp.radians(int(deg)))) < mp.mpf(10) ** -30
+
+
+
+def _fraction_degrees(value) -> Fraction:
+    # The degrees of an angle as trig read them through a Fraction.
+    if isinstance(value, Angle):
+        return value.degrees
+    if isinstance(value, (int, str, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"cannot read an angle from {type(value).__name__}")
+
+
+def _fraction_angle_of(value) -> Angle:
+    # Angle.of as it read its value through a Fraction.
+    return value if isinstance(value, Angle) else Angle(_fraction_degrees(value))
+
+
+def _fraction_point_on_circle(degrees):
+    # point_on_circle as it reduced a Fraction and passed sin_cos an Angle.
+    quadrants, rest = divmod(_fraction_degrees(degrees) % 360, 90)
+    s, c = sin_cos(Angle(rest)) if rest else (ZERO, ONE)
+    for _ in range(quadrants):
+        c, s = -s, c
+    return c, s
+
+
+class TestPairAgainstFraction:
+    """point_on_circle and Angle.of read every angle as an int pair; each
+    result or error must be the one the Fraction route gave."""
+
+    @staticmethod
+    def inputs():
+        for i in range(-1920, 1921):
+            deg = Fraction(3 * i, 8)  # -720 to 720 in steps of 3/8
+            yield deg
+            yield str(deg)
+            if deg.denominator == 1:
+                yield int(deg)
+            if 0 < deg <= 90:
+                yield Angle(deg)
+        yield from (True, False, _Int(144), 72.0, Decimal("72"), "abc", "3/0", "22.5", " 15 ")
+
+    @pytest.mark.parametrize("fn, old", [
+        (point_on_circle, _fraction_point_on_circle),
+        (Angle.of, _fraction_angle_of),
+    ], ids=["point_on_circle", "Angle.of"])
+    def test_same_as_fraction_route(self, fn, old):
+        for value in self.inputs():
+            assert _outcome(fn, value) == _outcome(old, value), repr(value)
 
 
 def trig_grid_lines() -> list[str]:
