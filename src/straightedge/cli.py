@@ -18,10 +18,23 @@ off-grid angle, dyadic depth beyond 5, icosahedron --digits outside
 bits or beyond the proven primality range, or one that rho does not split
 within its budget, such as two primes near 10^12 or larger) and on a stdout
 closed early, as by `| head -1`, 2 on usage errors.
+
+A command run as `straightedge` or `python -m straightedge.cli` exits
+through `_run`, which freezes the heap (`gc.freeze()`) once the command is
+done: the collections Python runs at exit skip frozen objects, and the OS
+takes back the memory of the modules, classes and functions the process
+loaded, so tearing down their cycles one by one would be wasted work
+(about 10 of the 15 ms a cold command spent in shutdown, on a shared
+2-vCPU Xeon VM with Python 3.11).  Atexit handlers and the final
+flush of stdout and stderr run as usual, and the exit status is `main`'s.
+A command closes every file it writes itself, in a `with` block, since no
+collection at exit would close one left open.  `main(argv)` itself never
+freezes, so a caller in the same process keeps an ordinary heap.
 """
 
 from __future__ import annotations
 
+import gc
 import os
 import sys
 from types import SimpleNamespace
@@ -267,5 +280,13 @@ def main(argv=None) -> int:
         return 1
 
 
+def _run() -> None:
+    """Exit with `main()`'s status, or its SystemExit, the heap frozen first."""
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _run()

@@ -617,19 +617,25 @@ def _digits(digits) -> int:
     return digits
 
 
-# `_decimal` converts its digits with `str` in pieces of 600, below 640, the
-# lowest limit Python accepts on converting an int to a string, so that
-# `approx` works to any number of places under any limit.
+# `_int_text` converts an int with `str` in pieces of 600 digits, below 640,
+# the lowest limit Python accepts on converting an int to a string, so that
+# `approx` works to any number of places, and an angle's refusal names it,
+# under any limit.
 _PIECE = 10**600
 
 
-def _decimal(n: int, places: int) -> str:
-    """The decimal text of n / 10**places."""
+def _int_text(n: int) -> str:
+    """str(n), under any limit on converting an int to a string."""
     rest, pieces = abs(n), []
     while rest >= _PIECE:
         rest, piece = divmod(rest, _PIECE)
         pieces.append(str(piece).zfill(600))
-    body = "".join([str(rest), *reversed(pieces)]).rjust(places + 1, "0")
+    return "".join(["-" if n < 0 else "", str(rest), *reversed(pieces)])
+
+
+def _decimal(n: int, places: int) -> str:
+    """The decimal text of n / 10**places."""
+    body = _int_text(abs(n)).rjust(places + 1, "0")
     sign_str = "-" if n < 0 else ""
     return f"{sign_str}{body[:-places]}.{body[-places:]}"
 

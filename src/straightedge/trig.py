@@ -30,7 +30,9 @@ from math import gcd
 from operator import index
 
 from . import _MAX_TRIG_DEPTH, _Record
-from .exactnum import Constructible, ONE, ZERO, _adjoin, _fraction_class, _is_fraction, sign
+from .exactnum import (
+    Constructible, ONE, ZERO, _adjoin, _fraction_class, _int_text, _is_fraction, sign,
+)
 
 __all__ = [
     "Angle",
@@ -48,8 +50,9 @@ def _on_grid(n: int, d: int) -> bool:
 
 
 def _text(n: int, d: int) -> str:
-    """n/d (lowest terms, d > 0) as str(Fraction(n, d)) prints it."""
-    return str(n) if d == 1 else f"{n}/{d}"
+    """n/d (lowest terms, d > 0) as str(Fraction(n, d)) prints it, under any
+    limit on converting an int to a string."""
+    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
 
 
 def _check_angle(n: int, d: int) -> None:
@@ -105,7 +108,7 @@ class Angle(_Record):
         return value if isinstance(value, Angle) else cls(_fraction_class()(*_pair(value)))
 
     def __str__(self) -> str:
-        return f"{self.degrees}°"
+        return f"{_text(self.degrees.numerator, self.degrees.denominator)}°"
 
 
 # Deepest dyadic subdivision 3*m/2^k that `tan` computes.  tan(3/2^k) is a
@@ -113,6 +116,9 @@ class Angle(_Record):
 # k = 5); from an empty memo it takes 0.005 s at k = 5 and 0.02 s at k = 8.
 # The value is set on the package root, which the CLI reads it from.
 MAX_TRIG_DEPTH = _MAX_TRIG_DEPTH
+
+# Deepest k that `sin_cos` admits.
+_MAX_SIN_COS_DEPTH = 300
 
 _memo: dict[tuple[int, int], tuple[Constructible, Constructible]] = {}
 _memo_lock = RLock()
@@ -168,9 +174,9 @@ def _sin_cos_raw(n: int, d: int) -> tuple[Constructible, Constructible]:
         return value
 
 
-def _degrees(angle, cap: int, fn: str) -> tuple[int, int]:
-    """(n, d) of a grid angle of n/d degrees; 3*m/2^k with k > cap is refused."""
-    n, d = _pair(angle)
+def _degrees(n: int, d: int, cap: int, fn: str) -> tuple[int, int]:
+    """(n, d) of a grid angle of n/d degrees (lowest terms, d > 0); 3*m/2^k
+    with k > cap is refused."""
     _check_angle(n, d)
     depth = d.bit_length() - 1
     if depth > cap:
@@ -184,14 +190,23 @@ def sin_cos(angle) -> tuple[Constructible, Constructible]:
     """Exact (sin, cos) for a grid angle; sin^2 + cos^2 = 1 holds exactly.
     Angles 3*m/2^k with k > 300 are refused at once with ValueError: each k
     adds a radicand, and from k = 500 approx of the sine exhausts the stack."""
-    return _sin_cos_raw(*_degrees(angle, 300, "sin_cos"))
+    return _sin_cos_raw(*_degrees(*_pair(angle), _MAX_SIN_COS_DEPTH, "sin_cos"))
+
+
+def _sin_cos_pair(n: int, d: int) -> tuple[Constructible, Constructible]:
+    """sin_cos of n/d degrees (lowest terms, d > 0), called through the public
+    name (the benchmark's spans count its calls) with the int or text it reads
+    with no Fraction.  An angle sin_cos refuses is refused first, as it would
+    be, so that no denominator beyond its depth is written as text."""
+    _degrees(n, d, _MAX_SIN_COS_DEPTH, "sin_cos")
+    return sin_cos(n if d == 1 else f"{n}/{d}")
 
 
 def tan(angle) -> Constructible:
     """Exact tangent; undefined (and rejected) at 90 degrees.
     Angles 3*m/2^k deeper than ``MAX_TRIG_DEPTH`` are refused at once with
     ValueError."""
-    n, d = _degrees(angle, MAX_TRIG_DEPTH, "tan")
+    n, d = _degrees(*_pair(angle), MAX_TRIG_DEPTH, "tan")
     if n == 90:
         raise ValueError("tangent is undefined at 90 degrees")
     s, c = _sin_cos_raw(n, d)
@@ -207,10 +222,9 @@ def side_length(n: int) -> Constructible:
     p, q = 180 // g, n // g
     if not _on_grid(p, q):
         raise ValueError(
-            f"180/{n} = {_text(p, q)} degrees is off the constructible grid 3*m/2^k"
+            f"180/{_int_text(n)} = {_text(p, q)} degrees is off the constructible grid 3*m/2^k"
         )
-    # Through sin_cos, as an int or as text, which it reads with no Fraction.
-    s, _ = sin_cos(p if q == 1 else f"{p}/{q}")
+    s, _ = _sin_cos_pair(p, q)
     return 2 * s
 
 
@@ -228,7 +242,7 @@ def point_on_circle(degrees) -> tuple[Constructible, Constructible]:
     quadrant."""
     n, d = _pair(degrees)
     quadrants, rest = divmod(n % (360 * d), 90 * d)  # rest/d is in lowest terms
-    s, c = sin_cos(rest if d == 1 else f"{rest}/{d}") if rest else (ZERO, ONE)
+    s, c = _sin_cos_pair(rest, d) if rest else (ZERO, ONE)
     for _ in range(quadrants):
         c, s = -s, c
     return c, s

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import json
 import os
@@ -385,6 +386,61 @@ class TestDispatch:
             os.close(write_end)
         # No `Traceback`, no `Exception ignored` from the flush at exit.
         assert (done.returncode, done.stderr) == (1, "")
+
+
+def _run_cli(*args, cwd):
+    """Run a new interpreter with these arguments on the checkout's src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    old = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + old if old else ""))
+    return subprocess.run(
+        [sys.executable, *args],
+        env=env, cwd=cwd, capture_output=True, text=True, timeout=120,
+    )
+
+
+# `python -m straightedge.cli ARGS`, run through runpy as `-m` runs it, with
+# an atexit hook that prints whether the heap is frozen when it runs.
+FROZEN_AT_EXIT = (
+    "import atexit, gc, runpy\n"
+    "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+    "runpy.run_module('straightedge.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+class TestProcessExit:
+    """A command run as a process exits through `cli._run`, which freezes the
+    heap once the command is done, so that the collections at exit skip it;
+    `main(argv)` in a running process never freezes."""
+
+    @pytest.mark.parametrize("argv, status", [
+        (["trig", "30"], 0), (["trig", "3/0"], 1), (["no-such-command"], 2),
+    ])
+    def test_heap_frozen_when_atexit_runs(self, argv, status, tmp_path):
+        done = _run_cli("-c", FROZEN_AT_EXIT, *argv, cwd=tmp_path)
+        assert done.returncode == status, done.stderr
+        assert done.stdout.splitlines()[-1] == "frozen at exit: True"
+        assert done.stderr.startswith({0: "", 1: "error: ", 2: "usage: straightedge"}[status])
+
+    def test_main_never_freezes(self, capsys):
+        before = gc.get_freeze_count()
+        assert main(["trig", "30"]) == 0
+        assert main(["trig", "3/0"]) == 1
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert gc.get_freeze_count() == before
+
+    # No collection at exit closes a file the command leaves open, so each
+    # command must close what it writes: under dev mode an unclosed file
+    # warns, and -W error turns the warning into an error on stderr.
+    @pytest.mark.parametrize("argv", [
+        ["construct", "5", "--svg", "p.svg", "--json", "p.json"],
+        ["icosahedron", "--obj", "i.obj"],
+        ["table"], ["trig", "9/2"], ["constructible", "1020"], ["verify"],
+    ], ids=lambda argv: argv[0])
+    def test_dev_mode_quiet(self, argv, tmp_path):
+        done = _run_cli("-X", "dev", "-W", "error", "-m", "straightedge.cli", *argv, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 # Tokens for the differential test of the plain reader: every command and

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import random
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -360,6 +361,67 @@ class TestTextAnglesAgainstFraction:
             "print(json.dumps([loaded, (s, c) == straightedge.sin_cos(Fraction(165, 2))]))"
         )
         assert (loaded, same) == ([], True)
+
+
+def _str_unlimited(value) -> str:
+    """str(value) with Python's limit on converting an int to a string lifted."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-to-str conversion"
+)
+class TestRefusalsUnderIntStrLimit:
+    """A refusal names its angle in full, as str of its Fraction prints it,
+    however many digits its ints have: under the default limit on converting
+    an int to a string (4300 digits) and under 640, the lowest Python accepts."""
+
+    DEEP = Fraction(3, 2**20000)
+
+    @pytest.fixture(params=[4300, 640], autouse=True)
+    def limit(self, request):
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(request.param)
+        yield request.param
+        sys.set_int_max_str_digits(old)
+
+    def test_depth_refusals(self):
+        deep = _str_unlimited(self.DEEP)
+        for fn, call, cap in ((sin_cos, sin_cos, 300), (tan, tan, 5), (sin_cos, point_on_circle, 300)):
+            with pytest.raises(ValueError) as exc:
+                call(self.DEEP)
+            assert str(exc.value) == (
+                f"{deep} degrees is 3*m/2^20000; {fn.__name__} supports dyadic depth k <= {cap}"
+            )
+        with pytest.raises(ValueError) as exc:
+            side_length(3 * 2**20000)
+        assert str(exc.value) == (
+            f"{_str_unlimited(Fraction(15, 2**19998))} degrees is 3*m/2^19998; "
+            "sin_cos supports dyadic depth k <= 300"
+        )
+
+    def test_grid_refusals(self):
+        off, above = Fraction(3, 7**6000), Fraction(91 * 2**20000 + 3, 2**20000)
+        for angle, why in ((off, "is off the constructible grid 3*m/2^k"), (above, "is outside (0, 90]")):
+            for fn in (sin_cos, tan, Angle):
+                with pytest.raises(ValueError) as exc:
+                    fn(angle)
+                assert str(exc.value) == f"{_str_unlimited(angle)} degrees {why}"
+        n = 7 * 10**5000
+        with pytest.raises(ValueError) as exc:
+            side_length(n)
+        assert str(exc.value) == (
+            f"180/{_str_unlimited(n)} = {_str_unlimited(Fraction(180, n))} degrees "
+            "is off the constructible grid 3*m/2^k"
+        )
+
+    def test_angle_text(self):
+        assert str(Angle(self.DEEP)) == f"{_str_unlimited(self.DEEP)}°"
 
 
 class TestSideLength:
