@@ -85,9 +85,9 @@ def render_svg(trace: Trace, cfg: RenderConfig | None = None, polygon: Polygon |
             body.append(f'<circle class="marker" cx="{x}" cy="{y}" r="3" />')
             if cfg.labels:
                 px, py = at(obj)
+                label = step.output.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
                 body.append(
-                    f'<text class="label" x="{fmt(px + 5)}" y="{fmt(py - 5)}">'
-                    f"{step.output}</text>"
+                    f'<text class="label" x="{fmt(px + 5)}" y="{fmt(py - 5)}">{label}</text>'
                 )
         # intersection pairs are drawn via their select steps
 

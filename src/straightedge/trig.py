@@ -186,20 +186,16 @@ def _degrees(n: int, d: int, cap: int, fn: str) -> tuple[int, int]:
     return n, d
 
 
+def _sin_cos_pair(n: int, d: int) -> tuple[Constructible, Constructible]:
+    """sin_cos of n/d degrees (lowest terms, d > 0), refused as sin_cos refuses."""
+    return _sin_cos_raw(*_degrees(n, d, _MAX_SIN_COS_DEPTH, "sin_cos"))
+
+
 def sin_cos(angle) -> tuple[Constructible, Constructible]:
     """Exact (sin, cos) for a grid angle; sin^2 + cos^2 = 1 holds exactly.
     Angles 3*m/2^k with k > 300 are refused at once with ValueError: each k
     adds a radicand, and from k = 500 approx of the sine exhausts the stack."""
-    return _sin_cos_raw(*_degrees(*_pair(angle), _MAX_SIN_COS_DEPTH, "sin_cos"))
-
-
-def _sin_cos_pair(n: int, d: int) -> tuple[Constructible, Constructible]:
-    """sin_cos of n/d degrees (lowest terms, d > 0), called through the public
-    name (the benchmark's spans count its calls) with the int or text it reads
-    with no Fraction.  An angle sin_cos refuses is refused first, as it would
-    be, so that no denominator beyond its depth is written as text."""
-    _degrees(n, d, _MAX_SIN_COS_DEPTH, "sin_cos")
-    return sin_cos(n if d == 1 else f"{n}/{d}")
+    return _sin_cos_pair(*_pair(angle))
 
 
 def tan(angle) -> Constructible:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from conftest import mpf_of, run_fresh
 from straightedge.cli import MAX_DIGITS, _build_parser, _read_plain, main
 from straightedge.construct import construct_polygon
 from straightedge.svg import RenderConfig, render_svg
-from straightedge.construct import Step, Trace
+from straightedge.construct import Step, Trace, replay
 from straightedge.geom import Circle, Line, Point
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -215,6 +216,21 @@ class TestPixelRounding:
         values = (-5000, -5001, -4999, -15000, 5000, 4999, 0)
         got = [_marker_pixels(Fraction(v, 10**6))[0] for v in values]
         assert got == ["-0.01", "-0.01", "0.00", "-0.02", "0.01", "0.00", "0.00"]
+
+    def test_label_rounds_its_exact_pixel(self):
+        # x = -401/200 pixels is a tie on each side of zero: the marker rounds
+        # it to -2.01, the label rounds 2.995 to 3.00, not -2.01 + 5 = 2.99.
+        point = Point.of(Fraction(-64401, 56000), 0)
+        svg = render_svg(Trace([Step("place-point", (), "P")], {"P": point}))
+        assert '<circle class="marker" cx="-2.01" cy="320.00" r="3" />' in svg
+        assert '<text class="label" x="3.00" y="315.00">P</text>' in svg
+
+
+def test_svg_label_is_escaped():
+    steps = [Step("place-point", (), "a<b&c", coords=("1/2", "0"))]
+    root = ElementTree.fromstring(render_svg(replay(steps)))
+    (text,) = root.iter("{http://www.w3.org/2000/svg}text")
+    assert text.text == "a<b&c"
 
 
 class TestDispatch:

@@ -140,6 +140,24 @@ def test_trig_executes_in_place_on_first_use():
     assert (before, after, shared) == (False, True, True)
 
 
+@pytest.mark.parametrize("module, name, bound", [
+    ("trig", "MAX_TRIG_DEPTH", "sin_cos"),
+    ("exactnum", "new_name", "sqrt"),
+])
+def test_first_write_executes_the_module_before_it_binds(module, name, bound):
+    # `monkeypatch.setattr(straightedge.trig, ...)` before first use: the
+    # module executes first, or executing it later would rebind the name.
+    lazy, plain, value, has_bound = run_fresh(
+        "import straightedge\n"
+        f"m = sys.modules['straightedge.{module}']\n"
+        "lazy = type(m) is not type(sys)\n"
+        f"m.{name} = 7\n"
+        "plain = type(m) is type(sys)\n"
+        f"print(json.dumps([lazy, plain, m.{name}, callable(m.__dict__.get({bound!r}))]))"
+    )
+    assert (lazy, plain, value, has_bound) == (True, True, 7, True)
+
+
 def test_first_reads_from_many_threads_see_executed_modules():
     # Threads that read the unexecuted core at once: each must wait for the
     # one executing it, not read a name it has not bound yet.

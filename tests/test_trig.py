@@ -304,15 +304,6 @@ class TestIntAnglesAgainstFraction:
         for n in [*range(3, 400), 15 * 2**303, _Int(5)]:
             assert _outcome(side_length, n) == _outcome(_fraction_side_length, n), n
 
-    def test_side_length_goes_through_sin_cos(self, monkeypatch):
-        # The benchmark's spans count sin_cos calls, verify_regular's included.
-        calls = []
-        real = trig.sin_cos
-        monkeypatch.setattr(trig, "sin_cos", lambda angle: calls.append(angle) or real(angle))
-        side_length(5)
-        side_length(8)
-        assert calls == [36, "45/2"] and type(calls[0]) is int
-
 
 class TestTextAnglesAgainstFraction:
     """sin_cos and tan read text written [-]digits[/digits] as an int pair,
