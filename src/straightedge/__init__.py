@@ -69,6 +69,25 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+# Every int the package writes goes through `_text`: `str` in pieces of 600
+# digits, below 640, the lowest int-to-str limit Python accepts.  It lives here,
+# next to `_Record`, so that `constructibility` executes no numeric module.
+_PIECE = 10**600
+
+
+def _text(n: int, d: int = 1) -> str:
+    """n/d (lowest terms, d > 0) as str(Fraction(n, d)) prints it, under any limit."""
+    if d != 1:
+        return f"{_text(n)}/{_text(d)}"
+    if -_PIECE < n < _PIECE:
+        return str(n)
+    rest, pieces = abs(n), []
+    while rest >= _PIECE:
+        rest, piece = divmod(rest, _PIECE)
+        pieces.append(str(piece).zfill(600))
+    return "".join(["-" if n < 0 else "", str(rest), *reversed(pieces)])
+
+
 # The value of `trig.MAX_TRIG_DEPTH`, kept here so that `straightedge trig
 # --help` can state it without executing `trig`.
 _MAX_TRIG_DEPTH = 5

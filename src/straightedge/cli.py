@@ -39,7 +39,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import _MAX_TRIG_DEPTH
+from . import _MAX_TRIG_DEPTH, _text
 
 # Each command imports the modules it uses inside its function, and the
 # package root leaves `exactnum` and `trig` unexecuted until one is used, so
@@ -121,7 +121,7 @@ def _cmd_table(_args) -> int:
 
 def _cmd_trig(args) -> int:
     from .exactnum import approx
-    from .trig import _read_text, _text, sin_cos, tan
+    from .trig import _read_text, sin_cos, tan
 
     try:
         degrees = _text(*_read_text(args.degrees))

@@ -22,7 +22,7 @@ import json
 import re
 from operator import index
 
-from . import _Record
+from . import _Record, _text
 from .exactnum import parse, sign
 from .geom import (
     Circle,
@@ -90,7 +90,7 @@ class Polygon(_Record):
         if n < 3:
             raise ValueError("a polygon needs at least 3 vertices")
         if len(vertices) != n:
-            raise ValueError(f"expected {n} vertices, got {len(vertices)}")
+            raise ValueError(f"expected {_text(n)} vertices, got {len(vertices)}")
         self._init(n, vertices, center)
 
 
@@ -416,7 +416,7 @@ def _doubling(labels: list[str]) -> tuple[list[Step], list[str]]:
     return steps, doubled
 
 
-_MAX_N = 160  # doubling costs steeply more beyond: 96 -> 192 alone takes about 10 s
+_MAX_N = 160  # most vertices built: 96 -> 192 alone takes about 10 s, 192 -> 384 over 600 s
 
 
 def construct_polygon(n: int) -> tuple[Polygon, Trace]:
@@ -429,7 +429,7 @@ def construct_polygon(n: int) -> tuple[Polygon, Trace]:
     bases = [m for m in SUPPORTED_POLYGONS if n % m == 0 and (n // m).bit_count() == 1]
     if not bases or not 0 < n <= _MAX_N:
         raise ValueError(
-            f"no construction program for n = {n}; supported: "
+            f"no construction program for n = {_text(n)}; supported: "
             f"{', '.join(map(str, SUPPORTED_POLYGONS))} times a power of two, up to {_MAX_N} "
             "(check gauss_constructible(n) for whether a construction exists)"
         )
@@ -444,7 +444,10 @@ def construct_polygon(n: int) -> tuple[Polygon, Trace]:
 
 def double_polygon(p: Polygon) -> Polygon:
     """The 2n-gon by the doubling steps, with O the center and K the circle
-    through the first vertex; a side through O raises ValueError naming a step."""
+    through the first vertex; a side through O raises ValueError naming a step,
+    and a 2n above 160 is refused before any step runs."""
+    if 2 * p.n > _MAX_N:
+        raise ValueError(f"doubling gives {2 * p.n} vertices, past the limit of {_MAX_N}")
     labels = [f"V{i}/{p.n}" for i in range(p.n)]
     steps, doubled = _doubling(labels)
     bindings = dict(zip(labels, p.vertices), O=p.center, K=Circle(p.center, p.vertices[0]))

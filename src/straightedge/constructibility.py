@@ -26,7 +26,7 @@ from itertools import compress
 from math import gcd, isqrt
 from operator import index
 
-from . import _Record
+from . import _Record, _text
 
 __all__ = [
     "Refusal",
@@ -72,8 +72,8 @@ class Refusal(_Record):
 
     def __str__(self) -> str:
         if self.kind == "repeated-odd-prime":
-            return f"{self.prime} divides n more than once"
-        return f"{self.prime} is not a Fermat prime"
+            return f"{_text(self.prime)} divides n more than once"
+        return f"{_text(self.prime)} is not a Fermat prime"
 
 
 class Verdict(_Record):
@@ -96,10 +96,11 @@ class Verdict(_Record):
         return product
 
     def __str__(self) -> str:
+        n = _text(self.n)
         if self.constructible:
-            parts = [f"2^{self.two_exponent}"] + [str(p) for p in self.fermat_primes]
-            return f"{self.n}: constructible ({self.n} = {' * '.join(parts)})"
-        return f"{self.n}: not constructible ({self.refusal})"
+            parts = [f"2^{self.two_exponent}", *map(_text, self.fermat_primes)]
+            return f"{n}: constructible ({n} = {' * '.join(parts)})"
+        return f"{n}: not constructible ({self.refusal})"
 
 
 def smallest_prime_factor(m: int) -> int:

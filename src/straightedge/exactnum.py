@@ -25,6 +25,8 @@ from functools import cache
 from math import gcd, isqrt, lcm
 from operator import index
 
+from . import _text
+
 __all__ = [
     "Constructible",
     "ZERO",
@@ -262,7 +264,7 @@ def _depth(x: Constructible) -> int:
 def _render(x: Constructible) -> str:
     if x._key is None:
         if x.r is None:
-            x._key = str(x.a) if x.b == 1 else f"{x.a}/{x.b}"
+            x._key = _text(x.a, x.b)
         else:
             b = x.b
             if b.r is None and b.a < 0:
@@ -617,25 +619,9 @@ def _digits(digits) -> int:
     return digits
 
 
-# `_int_text` converts an int with `str` in pieces of 600 digits, below 640,
-# the lowest limit Python accepts on converting an int to a string, so that
-# `approx` works to any number of places, and an angle's refusal names it,
-# under any limit.
-_PIECE = 10**600
-
-
-def _int_text(n: int) -> str:
-    """str(n), under any limit on converting an int to a string."""
-    rest, pieces = abs(n), []
-    while rest >= _PIECE:
-        rest, piece = divmod(rest, _PIECE)
-        pieces.append(str(piece).zfill(600))
-    return "".join(["-" if n < 0 else "", str(rest), *reversed(pieces)])
-
-
 def _decimal(n: int, places: int) -> str:
     """The decimal text of n / 10**places."""
-    body = _int_text(abs(n)).rjust(places + 1, "0")
+    body = _text(abs(n)).rjust(places + 1, "0")
     sign_str = "-" if n < 0 else ""
     return f"{sign_str}{body[:-places]}.{body[-places:]}"
 

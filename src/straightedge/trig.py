@@ -29,10 +29,8 @@ from _thread import RLock
 from math import gcd
 from operator import index
 
-from . import _MAX_TRIG_DEPTH, _Record
-from .exactnum import (
-    Constructible, ONE, ZERO, _adjoin, _fraction_class, _int_text, _is_fraction, sign,
-)
+from . import _MAX_TRIG_DEPTH, _Record, _text
+from .exactnum import Constructible, ONE, ZERO, _adjoin, _fraction_class, _is_fraction, sign
 
 __all__ = [
     "Angle",
@@ -47,12 +45,6 @@ __all__ = [
 def _on_grid(n: int, d: int) -> bool:
     """Whether n/d degrees (lowest terms, d > 0) is a positive 3*m/2^k."""
     return n > 0 and n % 3 == 0 and d & (d - 1) == 0
-
-
-def _text(n: int, d: int) -> str:
-    """n/d (lowest terms, d > 0) as str(Fraction(n, d)) prints it, under any
-    limit on converting an int to a string."""
-    return _int_text(n) if d == 1 else f"{_int_text(n)}/{_int_text(d)}"
 
 
 def _check_angle(n: int, d: int) -> None:
@@ -218,7 +210,7 @@ def side_length(n: int) -> Constructible:
     p, q = 180 // g, n // g
     if not _on_grid(p, q):
         raise ValueError(
-            f"180/{_int_text(n)} = {_text(p, q)} degrees is off the constructible grid 3*m/2^k"
+            f"180/{_text(n)} = {_text(p, q)} degrees is off the constructible grid 3*m/2^k"
         )
     s, _ = _sin_cos_pair(p, q)
     return 2 * s

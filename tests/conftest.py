@@ -48,6 +48,26 @@ def run_fresh(code: str, timeout: float = 60):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def str_unlimited(value) -> str:
+    """str(value) with Python's limit on converting an int to a string lifted."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture(params=[4300, 640])
+def int_str_limit(request):
+    """Python's limit on converting an int to a string, set for one test to
+    the default, 4300 digits, and to 640, the lowest it accepts."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(request.param)
+    yield request.param
+    sys.set_int_max_str_digits(old)
+
+
 def random_tree(rng: random.Random, depth: int, root: bool = True):
     if depth == 0 or (not root and rng.random() < 0.25):
         return ("leaf", Fraction(rng.randint(-9, 9), rng.randint(1, 9)))

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,6 +27,10 @@ from straightedge.trig import point_on_circle, side_length
 DOUBLING = Path(__file__).parent / "golden" / "doubling.txt"
 OUTPUTS = Path(__file__).parent / "golden" / "outputs.txt"
 
+
+# The bases whose programs outputs.txt and doubling.txt pin; the golden tests
+# iterate these, not SUPPORTED_POLYGONS, so a new base leaves them unchanged.
+GOLDEN_BASES = (3, 4, 5, 6, 10, 20)
 
 # construct_polygon's domain: a supported polygon doubled j times, up to 160
 ACCEPTED = sorted({m << j for m in SUPPORTED_POLYGONS for j in range(6) if m << j <= 160})
@@ -267,6 +272,17 @@ class TestDoublePolygon:
         with pytest.raises(ValueError, match=re.escape(message)):
             double_polygon(triangle)
 
+    def test_more_than_160_vertices_is_refused_before_any_step(self):
+        # 81 dummy vertices: no step reads them, and the refusal is at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^doubling gives 162 vertices, past the limit of 160$"):
+            double_polygon(Polygon(81, (None,) * 81, None))
+        assert time.perf_counter() - start < 1
+        # an 80-gon is doubled: its first step runs, and refuses equal points
+        same = Point.of(1, 0)
+        with pytest.raises(ValueError, match=re.escape("step 'mV1/160' (mediatrix)")):
+            double_polygon(Polygon(80, (same,) * 80, Point.of(0, 0)))
+
     def test_doubled_is_interleaved(self):
         p4, _ = construct_polygon(4)
         p8 = double_polygon(p4)
@@ -332,7 +348,7 @@ def doubling_lines() -> list[str]:
     """Lines frozen in golden/doubling.txt.
 
     First ``json n <sha>`` and ``svg n <sha>`` for the trace and default SVG
-    of every supported polygon, then ``start->n i x y`` for every vertex of
+    of each of GOLDEN_BASES, then ``start->n i x y`` for every vertex of
     the chains 3->24, 4->32, 5->40 and 20->80, starting polygon included
     (the longest vertex line is about 1 KB, so none is hashed).  The file
     was written by the route that cut each side's mediatrix from two compass
@@ -340,7 +356,7 @@ def doubling_lines() -> list[str]:
     must never be regenerated from the current code.
     """
     lines = []
-    for n in SUPPORTED_POLYGONS:
+    for n in GOLDEN_BASES:
         polygon, trace = construct_polygon(n)
         lines.append(f"json {n} {_sha256(trace_to_json(trace))}")
         lines.append(f"svg {n} {_sha256(render_svg(trace, polygon=polygon))}")
@@ -366,13 +382,13 @@ class TestDoublingGolden:
 
 def output_lines() -> list[str]:
     """Lines frozen in golden/outputs.txt: ``json n <sha>`` for the trace of
-    every supported polygon, then ``svg n d labels|no-labels <sha>`` for its
+    each of GOLDEN_BASES, then ``svg n d labels|no-labels <sha>`` for its
     SVG with the polygon, labels on and off.  The file pins every construct
     output byte for byte and is never regenerated.  It was written when the
     SVG took a digits setting d; the renderer has none now, and its one SVG
     per (n, labels) must match both the d = 5 and the d = 9 line."""
     lines = []
-    for n in SUPPORTED_POLYGONS:
+    for n in GOLDEN_BASES:
         polygon, trace = construct_polygon(n)
         lines.append(f"json {n} {_sha256(trace_to_json(trace))}")
         svgs = {

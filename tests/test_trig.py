@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from conftest import mpf_of, run_fresh
+from conftest import mpf_of, run_fresh, str_unlimited
 from straightedge import trig
 from straightedge.exactnum import (
     ONE, ZERO, Constructible, _adjoin, _scaled, _sqrt_within, approx, sign, sqrt,
@@ -354,19 +354,10 @@ class TestTextAnglesAgainstFraction:
         assert (loaded, same) == ([], True)
 
 
-def _str_unlimited(value) -> str:
-    """str(value) with Python's limit on converting an int to a string lifted."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
 @pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int-to-str conversion"
 )
+@pytest.mark.usefixtures("int_str_limit")
 class TestRefusalsUnderIntStrLimit:
     """A refusal names its angle in full, as str of its Fraction prints it,
     however many digits its ints have: under the default limit on converting
@@ -374,15 +365,8 @@ class TestRefusalsUnderIntStrLimit:
 
     DEEP = Fraction(3, 2**20000)
 
-    @pytest.fixture(params=[4300, 640], autouse=True)
-    def limit(self, request):
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(request.param)
-        yield request.param
-        sys.set_int_max_str_digits(old)
-
     def test_depth_refusals(self):
-        deep = _str_unlimited(self.DEEP)
+        deep = str_unlimited(self.DEEP)
         for fn, call, cap in ((sin_cos, sin_cos, 300), (tan, tan, 5), (sin_cos, point_on_circle, 300)):
             with pytest.raises(ValueError) as exc:
                 call(self.DEEP)
@@ -392,7 +376,7 @@ class TestRefusalsUnderIntStrLimit:
         with pytest.raises(ValueError) as exc:
             side_length(3 * 2**20000)
         assert str(exc.value) == (
-            f"{_str_unlimited(Fraction(15, 2**19998))} degrees is 3*m/2^19998; "
+            f"{str_unlimited(Fraction(15, 2**19998))} degrees is 3*m/2^19998; "
             "sin_cos supports dyadic depth k <= 300"
         )
 
@@ -402,17 +386,17 @@ class TestRefusalsUnderIntStrLimit:
             for fn in (sin_cos, tan, Angle):
                 with pytest.raises(ValueError) as exc:
                     fn(angle)
-                assert str(exc.value) == f"{_str_unlimited(angle)} degrees {why}"
+                assert str(exc.value) == f"{str_unlimited(angle)} degrees {why}"
         n = 7 * 10**5000
         with pytest.raises(ValueError) as exc:
             side_length(n)
         assert str(exc.value) == (
-            f"180/{_str_unlimited(n)} = {_str_unlimited(Fraction(180, n))} degrees "
+            f"180/{str_unlimited(n)} = {str_unlimited(Fraction(180, n))} degrees "
             "is off the constructible grid 3*m/2^k"
         )
 
     def test_angle_text(self):
-        assert str(Angle(self.DEEP)) == f"{_str_unlimited(self.DEEP)}°"
+        assert str(Angle(self.DEEP)) == f"{str_unlimited(self.DEEP)}°"
 
 
 class TestSideLength:
