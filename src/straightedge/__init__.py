@@ -13,9 +13,11 @@ public name is imported from its submodule the first time it is read
 ``straightedge constructible`` runs without the numeric core.  The core
 computes on ints and reads every angle as an int pair, so it imports
 ``fractions`` (and with it ``decimal`` and ``numbers``) only where it is
-given a Fraction, an `Angle` or angle text that is not [-]digits[/digits],
-or asked for a Fraction: ``import straightedge; sin_cos(45)`` and every CLI
-command load none of the three, except ``trig`` of such text (``22.5``).
+given a Fraction, an `Angle` or angle text that is not [-]digits[/digits]
+(any Unicode decimal digits, as `int` reads them, and a zero denominator
+included), or asked for a Fraction: ``import straightedge; sin_cos(45)``
+and every CLI command load none of the three, except ``trig`` of such text
+(``22.5``).
 """
 
 import sys

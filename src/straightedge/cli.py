@@ -51,7 +51,8 @@ from . import _MAX_TRIG_DEPTH, _text
 # computes on ints and reads every angle as an int pair, so it loads
 # `fractions` (and with it `decimal` and `numbers`) only where a Fraction
 # crosses the API: of the commands only `trig` loads it, when its angle is
-# not written [-]digits[/digits] (as `22.5`).  `argparse` (which loads
+# not written [-]digits[/digits] (as `22.5`); `trig` reads its angle once,
+# through `trig._pair`.  `argparse` (which loads
 # `gettext` and `locale`, about 4 ms of a cold start) is imported only when
 # `_read_plain` hands argv on: it takes a command in its plain form and gives
 # the same namespace, so argparse stays the one source of help and usage
@@ -121,19 +122,20 @@ def _cmd_table(_args) -> int:
 
 def _cmd_trig(args) -> int:
     from .exactnum import approx
-    from .trig import _read_text, sin_cos, tan
+    from .trig import MAX_TRIG_DEPTH, _degrees, _pair, _sin_cos_raw
 
     try:
-        degrees = _text(*_read_text(args.degrees))
+        n, d = _pair(args.degrees)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"cannot read {args.degrees!r} as a rational number of degrees")
-    # tan refuses an angle beyond trig.MAX_TRIG_DEPTH at once, before anything is
-    # printed or derived.
-    t = tan(degrees) if degrees != "90" else None
-    s, c = sin_cos(degrees)
+    # The angle is checked as tan checks it, against trig.MAX_TRIG_DEPTH, at
+    # once, before anything is printed or derived; at 90 degrees tan is left out.
+    s, c = _sin_cos_raw(*_degrees(n, d, MAX_TRIG_DEPTH, "tan"))
+    degrees = _text(n, d)
     print(f"sin {degrees}° = {s} = {approx(s, 6)}")
     print(f"cos {degrees}° = {c} = {approx(c, 6)}")
-    if t is not None:
+    if (n, d) != (90, 1):
+        t = s / c
         print(f"tan {degrees}° = {t} = {approx(t, 6)}")
     return 0
 

@@ -189,7 +189,7 @@ def _evaluate(step: Step, bindings: dict):
         if step.kind == "select":
             return _apply_selector(step.selector, *args)
         return _BUILD[step.kind](*args)
-    except ValueError as err:
+    except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"{where}: {err}") from None
 
 
@@ -201,8 +201,8 @@ def replay(steps: list[Step]) -> Trace:
 
     A malformed step (unknown kind, wrong number or class of inputs, an
     unbound or repeated label, a place-point without coords) or one whose
-    construction fails (parallel lines, a selector that does not single out
-    one point) raises ValueError naming the step."""
+    construction fails (coords such as "1/0", parallel lines, a selector
+    that does not single out one point) raises ValueError naming the step."""
     return Trace(list(steps), _run(steps, {}))
 
 
@@ -251,12 +251,15 @@ def trace_to_json(trace: Trace) -> str:
 
 
 def steps_from_dict(data: dict) -> list[Step]:
-    """The steps of a ``trace_to_dict`` dict.  An entry missing its inputs
-    or a coordinate, or with a field that is not a string, raises ValueError
-    naming the step, as ``replay`` does for a malformed step; so does an
-    entry that is not a dict."""
+    """The steps of a ``trace_to_dict`` dict.  A document without a list of
+    steps, an entry that is not a dict, or one missing its inputs or a
+    coordinate or with a field that is not a string raises ValueError, which
+    names the step as ``replay`` does for a malformed step."""
+    entries = data.get("steps") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("trace has no list of steps")
     steps = []
-    for entry in data["steps"]:
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"step {entry!r}: not an object")
         kind, output, inputs = entry.get("kind"), entry.get("output"), entry.get("inputs")

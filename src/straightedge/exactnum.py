@@ -628,9 +628,9 @@ def _decimal(n: int, places: int) -> str:
 
 # -- canonical text parsing ----------------------------------------------------
 
-# A leaf p/q.  `parse` imports `re`, which compiles this pattern on its first
-# use, so that no other command pays for either.
-_NUMBER = r"(-?)(\d+)(?:/(\d+))?"
+# Where a leaf p/q ends.  `parse` imports `re`, which compiles this pattern
+# on its first use, so that no other command pays for either.
+_NUMBER = r"-?\d+(?:/\d+)?"
 
 # Deepest nesting `parse` accepts.  Parsing a value, then printing it and
 # taking its sign and decimals, took D + 10 stack frames for D parentheses
@@ -692,11 +692,18 @@ def _parse_value(s: str) -> tuple[Constructible, str]:
     m = re.match(_NUMBER, s)
     if not m:
         raise ValueError(f"expected a rational at {s[:20]!r}")
-    # The leaf p/q from ints, as Fraction(p/q) reads it: each part within the
-    # int-string limit, the sign taken after, and the same ZeroDivisionError.
-    negative, p, q = m.groups()
-    p, q = -int(p) if negative else int(p), int(q) if q else 1
-    if q == 0:
-        raise ZeroDivisionError(f"Fraction({p}, 0)")
-    g = gcd(p, q)
-    return Constructible(p // g, q // g), s[m.end():]
+    return Constructible(*_ratio(m[0])), s[m.end():]
+
+
+def _ratio(text: str) -> tuple[int, int] | None:
+    """(n, d), in lowest terms with d > 0, of text written [-]digits[/digits]
+    (Unicode decimal digits), read into ints as Fraction(text) reads it, with
+    its errors for a part past the int-string limit or d = 0; else None."""
+    num, slash, den = text.partition("/")
+    if not num.removeprefix("-").isdecimal() or slash and not den.isdecimal():
+        return None
+    n, d = int(num), int(den) if slash else 1
+    if not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = gcd(n, d)
+    return n // g, d // g

@@ -16,10 +16,13 @@ tower of cos(2*deg), which cannot succeed: for m odd and k >= 1 the field of
 sin and cos of 3m/2^k holds cos(360/2^(k+3) degrees), and that tower lies in
 a Q(zeta_n) with 2^(k+3) not dividing n.  Each angle is derived once, memoized
 by the ints (n, d) of n/d degrees.  Every entry reads its angle as that pair
-through one reader, `_pair`: an int, a Fraction, an `Angle` and text written
-[-]digits[/digits] give it directly, and only other text (such as "22.5" or
-" 15 ") is read through a Fraction.  No internal path builds a Fraction or an
-`Angle`, so `sin_cos(45)`, `sin_cos("165/2")`, `side_length(5)` and
+through one reader, `_pair`: an int, a Fraction and an `Angle` give it
+directly, text written [-]digits[/digits] is read into ints by
+`exactnum._ratio`, the reader `parse` reads its leaves with, and only other
+text (such as "22.5" or " 15 ") is read through a Fraction.  One check,
+`_degrees`, refuses an angle outside (0, 90], off the grid or past a depth
+cap.  No internal path builds a Fraction or an `Angle`, so `sin_cos(45)`,
+`sin_cos("165/2")`, `sin_cos("3/0")`, `side_length(5)` and
 `point_on_circle("144")` import no ``fractions``.
 """
 
@@ -30,7 +33,7 @@ from math import gcd
 from operator import index
 
 from . import _MAX_TRIG_DEPTH, _Record, _text
-from .exactnum import Constructible, ONE, ZERO, _adjoin, _fraction_class, _is_fraction, sign
+from .exactnum import Constructible, ONE, ZERO, _adjoin, _fraction_class, _is_fraction, _ratio, sign
 
 __all__ = [
     "Angle",
@@ -47,37 +50,31 @@ def _on_grid(n: int, d: int) -> bool:
     return n > 0 and n % 3 == 0 and d & (d - 1) == 0
 
 
-def _check_angle(n: int, d: int) -> None:
-    """Refuse n/d degrees (lowest terms, d > 0) outside (0, 90] or off the grid."""
+def _degrees(n: int, d: int, cap: int | None = None, fn: str = "") -> tuple[int, int]:
+    """(n, d) of a grid angle of n/d degrees (lowest terms, d > 0).  An angle
+    outside (0, 90], off the grid or, given a cap, 3*m/2^k with k > cap is
+    refused."""
     if not 0 < n <= 90 * d:
         raise ValueError(f"{_text(n, d)} degrees is outside (0, 90]")
     if not _on_grid(n, d):
         raise ValueError(f"{_text(n, d)} degrees is off the constructible grid 3*m/2^k")
-
-
-def _read_text(text: str) -> tuple[int, int]:
-    """(n, d), in lowest terms with d > 0, of text that Fraction reads: text
-    of the form [-]digits[/digits] straight into ints, any other text through
-    Fraction, with its ValueError or ZeroDivisionError (as for "3/0")."""
-    num, slash, den = text.partition("/")
-    negative = num[:1] == "-"
-    num, den = num[negative:], den if slash else "1"
-    if text.isascii() and num.isdigit() and den.isdigit() and den.strip("0"):
-        n, d = int(num), int(den)
-        g = gcd(n, d)
-        return (-n if negative else n) // g, d // g
-    degrees = _fraction_class()(text)
-    return degrees.numerator, degrees.denominator
+    depth = d.bit_length() - 1
+    if cap is not None and depth > cap:
+        raise ValueError(
+            f"{_text(n, d)} degrees is 3*m/2^{depth}; {fn} supports dyadic depth k <= {cap}"
+        )
+    return n, d
 
 
 def _pair(value) -> tuple[int, int]:
     """(n, d), in lowest terms with d > 0, of the degrees of an Angle, an int,
-    a Fraction or text `_read_text` reads; a float, being inexact, or any
-    other type raises TypeError."""
+    a Fraction or text: `_ratio` reads text written [-]digits[/digits] and
+    Fraction any other text, each with its ValueError or ZeroDivisionError;
+    a float, being inexact, or any other type raises TypeError."""
+    if isinstance(value, str):
+        return _ratio(value) or _pair(_fraction_class()(value))
     if isinstance(value, Angle):
         value = value.degrees
-    elif isinstance(value, str):
-        return _read_text(value)
     if isinstance(value, int) or _is_fraction(value):
         return value.numerator, value.denominator
     raise TypeError(f"cannot read an angle from {type(value).__name__}")
@@ -92,7 +89,7 @@ class Angle(_Record):
     def __init__(self, degrees):
         if not _is_fraction(degrees):
             raise TypeError("degrees must be a Fraction")
-        _check_angle(degrees.numerator, degrees.denominator)
+        _degrees(degrees.numerator, degrees.denominator)
         self._init(degrees)
 
     @classmethod
@@ -164,18 +161,6 @@ def _sin_cos_raw(n: int, d: int) -> tuple[Constructible, Constructible]:
             value = (_adjoin((1 - c2) / 2), _adjoin((1 + c2) / 2))
         _memo[n, d] = value
         return value
-
-
-def _degrees(n: int, d: int, cap: int, fn: str) -> tuple[int, int]:
-    """(n, d) of a grid angle of n/d degrees (lowest terms, d > 0); 3*m/2^k
-    with k > cap is refused."""
-    _check_angle(n, d)
-    depth = d.bit_length() - 1
-    if depth > cap:
-        raise ValueError(
-            f"{_text(n, d)} degrees is 3*m/2^{depth}; {fn} supports dyadic depth k <= {cap}"
-        )
-    return n, d
 
 
 def _sin_cos_pair(n: int, d: int) -> tuple[Constructible, Constructible]:

@@ -174,9 +174,20 @@ class TestTrace:
         with pytest.raises(ValueError, match=re.escape(message.get(label, f"step {label!r}"))):
             replay(steps_from_dict(data))
 
+    def test_replay_names_the_step_for_a_zero_denominator(self):
+        data = trace_to_dict(construct_polygon(5)[1])
+        next(step for step in data["steps"] if step["output"] == "A")["coords"]["x"] = "1/0"
+        with pytest.raises(ValueError, match=re.escape("step 'A' (place-point): Fraction(1, 0)")):
+            replay(steps_from_dict(data))
+
     def test_steps_from_dict_rejects_an_entry_that_is_not_an_object(self):
         with pytest.raises(ValueError, match="step 7: not an object"):
             steps_from_dict({"steps": [7]})
+
+    @pytest.mark.parametrize("data", [{}, [], {"steps": None}, {"steps": 5}])
+    def test_steps_from_dict_rejects_a_document_without_a_list_of_steps(self, data):
+        with pytest.raises(ValueError, match="^trace has no list of steps$"):
+            steps_from_dict(data)
 
     @pytest.mark.parametrize("n", [4, 8, 40])
     def test_json_schema(self, n):

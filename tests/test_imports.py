@@ -126,6 +126,22 @@ def test_cold_path_executes_only_the_modules_it_uses(path, tmp_path):
     assert executed == []
 
 
+@pytest.mark.parametrize("text, outcome", [
+    ("3/0", "Fraction(3, 0)"),  # refused with Fraction's own error
+    ("\u0664\u0665", "(0 + 1/2*sqrt(2))"),  # 45 in Arabic-Indic digits
+])
+def test_angle_text_of_any_decimal_digits_loads_no_fractions(text, outcome):
+    # [-]digits[/digits] is read into ints whatever its digits and denominator.
+    assert run_fresh(
+        "import straightedge\n"
+        "try:\n"
+        f"    outcome = str(straightedge.sin_cos({text!r})[0])\n"
+        "except ZeroDivisionError as exc:\n"
+        "    outcome = str(exc)\n"
+        f"print(json.dumps([outcome, {EXECUTED.format(names=FRACTIONS)}]))"
+    ) == [outcome, []]
+
+
 def test_trig_executes_in_place_on_first_use():
     # The benchmark reads `sys.modules["straightedge.trig"]._memo` right after
     # `import straightedge`: that must be the memo `sin_cos` fills.

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import run_fresh
 from straightedge.exactnum import Constructible, _enclose, approx, parse, sign, sqrt
+from straightedge.trig import _pair
 
 C = Constructible.of
 
@@ -109,6 +110,19 @@ def _fraction_leaf(text: str) -> Constructible:
     return Constructible.of(Fraction(text))
 
 
+def _read_pair(read, text: str):
+    """The pair (n, d) ``read`` makes of ``text``, or the type and text of its error."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _fraction_pair(text: str) -> tuple[int, int]:
+    q = Fraction(text)
+    return q.numerator, q.denominator
+
+
 def _leaf_text(sign: str, p: int, q, g: int, zeros: int) -> str:
     text = sign + "0" * zeros + str(p * g)
     return text if q is None else f"{text}/{'0' * zeros}{q * g}"
@@ -127,18 +141,21 @@ LEAF_TEXTS = st.builds(
 
 
 class TestParsedLeafAgainstFraction:
-    """`parse` reads ``p/q`` as ints in lowest terms, as Fraction(text) did."""
+    """`parse` reads ``p/q`` as ints in lowest terms, as Fraction(text) did,
+    and so does the angle reader `trig._pair`, through the same leaf reader."""
 
     @settings(max_examples=400, deadline=None)
     @given(LEAF_TEXTS)
     def test_leaf(self, text):
         assert _read(parse, text) == _read(_fraction_leaf, text)
+        assert _read_pair(_pair, text) == _read_pair(_fraction_pair, text)
 
     @pytest.mark.parametrize(
         "text", ["0", "-0", "-0/5", "0/0", "-0/0", "-3/0", "007/014", "-6/4", "\u0663/\u0666"]
     )
     def test_edge_leaves(self, text):
         assert _read(parse, text) == _read(_fraction_leaf, text)
+        assert _read_pair(_pair, text) == _read_pair(_fraction_pair, text)
 
     @pytest.mark.parametrize(
         "text", ["1" * 4301, "-" + "1" * 4301, "1/" + "1" * 4301, "1" * 4300 + "/3"]
